@@ -58,12 +58,6 @@ class FuzzerConfig:
     # scheduler anyway, to assert the depth-1 pipeline reproduces the
     # sequential loop byte for byte.
     force_pipeline: bool = False
-    # Accept a harness-provided SolverPool for the constraint-aware key
-    # planner (warm per-table solvers across campaigns).  False forces
-    # cold private solvers; generated request streams are identical either
-    # way (model blocking rides on check() assumptions, and cached
-    # constraint models are sampled deterministically from the seed).
-    reuse_solvers: bool = True
     # Greybox coverage feedback (repro.fuzzer.feedback): score every judged
     # batch against the model's symbolic trace and bias table/mutation
     # selection toward uncovered regions.  Needs the P4 model —
@@ -168,9 +162,11 @@ class P4Fuzzer:
         self.config = config or FuzzerConfig()
         self.rng = random.Random(self.config.seed)
         # The harness hands its SolverPool down so the generator's
-        # per-table constraint solvers stay warm across campaigns;
-        # config.reuse_solvers=False opts a campaign out (cold solvers).
-        self.solver_pool = solver_pool if self.config.reuse_solvers else None
+        # per-table constraint solvers stay warm across campaigns; None
+        # means private cold solvers.  Generated request streams are
+        # identical either way (model blocking rides on check()
+        # assumptions, and cached constraint models are canonical).
+        self.solver_pool = solver_pool
         self.generator = RequestGenerator(
             p4info,
             self.rng,

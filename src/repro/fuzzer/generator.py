@@ -466,9 +466,9 @@ class RequestGenerator:
             # reusable (across campaigns, and by anyone sharing the pool).
             # Each model is the *lexicographically minimal* one under the
             # current blockers — a pure function of the constraint terms,
-            # so encoder/kernel choice and pool warmth cannot change the
-            # request stream (the constraints are passed as assumptions
-            # because minmodel's evaluator fast path only sees assumptions).
+            # so pool warmth cannot change the request stream (the
+            # constraints are passed as assumptions because minmodel's
+            # evaluator fast path only sees assumptions).
             blocks: List[T.Term] = []
             for _ in range(4):
                 model = minimal_assignment(

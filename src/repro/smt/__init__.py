@@ -2,26 +2,25 @@
 
 This package replaces Z3 in the SwitchV reproduction.  p4-symbolic (§5 of the
 paper) only requires the decidable theory of fixed-width bitvectors with
-equality, so we implement exactly that:
+equality, so we implement exactly that — one pipeline, terms → simplify →
+bit-blast → SAT, with no alternative encoder or kernel to select:
 
 * :mod:`repro.smt.terms` — an immutable, hash-consed term language (booleans
   and bitvectors) together with a concrete evaluator used for model
   validation and property tests.
 * :mod:`repro.smt.simplify` — constant folding and local rewriting.
-* :mod:`repro.smt.bitblast` — two CNF encoders: the default
-  ``StructuralBitBlaster`` (constant folding at the literal layer,
-  gate-level structural hashing, polarity-aware Plaisted–Greenbaum
-  clause emission) and the retained Tseitin ``BitBlaster`` baseline.
-* :mod:`repro.smt.sat` — the default CDCL SAT kernel (two-watched literals
-  with blocking literals, dedicated binary-clause implication lists, VSIDS,
+* :mod:`repro.smt.bitblast` — the CNF encoder, ``StructuralBitBlaster``:
+  constant folding at the literal layer, gate-level structural hashing,
+  polarity-aware Plaisted–Greenbaum clause emission.
+* :mod:`repro.smt.sat` — the CDCL SAT kernel (two-watched literals with
+  blocking literals, dedicated binary-clause implication lists, VSIDS,
   first-UIP learning with on-the-fly minimization, LBD-based clause
   retention, Luby restarts) supporting solving under assumptions, which
   p4-symbolic uses to pose many coverage queries against a single
-  bit-blasted program encoding.
-* :mod:`repro.smt.legacy_sat` — the pre-modernization kernel, kept as a
-  differential baseline behind ``Solver(kernel="legacy")``.
-* :mod:`repro.smt.solver` — the user-facing ``Solver`` with model extraction
-  and the ``encoder``/``kernel`` selection flags.
+  bit-blasted program encoding.  An optional proof log makes its UNSAT
+  answers checkable by an independent forward-RUP checker.
+* :mod:`repro.smt.solver` — the user-facing ``Solver`` with model
+  extraction.
 * :mod:`repro.smt.compile` — postorder bytecode compilation of term DAGs for
   fast repeated concrete evaluation (subsumption, model checks, lint
   prefilters).

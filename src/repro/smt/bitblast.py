@@ -6,20 +6,15 @@ memoised per term (terms are hash-consed), so shared subterms are encoded
 once — essential for p4-symbolic, whose guard expressions share the
 per-entry match conditions heavily.
 
-Two encoders live here:
-
-* :class:`BitBlaster` — the original naive Tseitin encoder (both implication
-  directions for every gate, a fresh gate variable even on constant inputs,
-  no sharing between structurally identical gates).  Retained verbatim as
-  the differential baseline behind ``Solver(encoder="tseitin")``.
-* :class:`StructuralBitBlaster` — the default.  Constant short-circuiting at
-  the literal layer (AND/OR/ITE/XOR/adder chains fold TRUE/FALSE literals
-  instead of emitting gates), gate-level structural hashing (an
-  ``(op, normalized-arg-lits) -> output-lit`` cache, so identical gates
-  reached through different terms encode once), and polarity-aware
-  Plaisted–Greenbaum encoding that emits only the implication direction
-  each gate is actually used in.  See DESIGN.md ("The CNF layer") for the
-  polarity bookkeeping and the soundness argument.
+:class:`StructuralBitBlaster` is the one encoder.  It shrinks the formula
+before the solver sees it three ways: constant short-circuiting at the
+literal layer (AND/OR/ITE/XOR/adder chains fold TRUE/FALSE literals instead
+of emitting gates), gate-level structural hashing (an
+``(op, normalized-arg-lits) -> output-lit`` cache, so identical gates
+reached through different terms encode once), and polarity-aware
+Plaisted–Greenbaum encoding that emits only the implication direction each
+gate is actually used in.  See DESIGN.md ("The CNF layer") for the polarity
+bookkeeping and the soundness argument.
 """
 
 from __future__ import annotations
@@ -28,284 +23,6 @@ from typing import Dict, List, Tuple
 
 from repro.smt import terms as T
 from repro.smt.sat import SatSolver, pos_lit
-
-
-class BitBlaster:
-    """Incrementally encodes terms into CNF on top of a SAT solver.
-
-    The naive Tseitin baseline: every gate gets a fresh variable and both
-    implication directions, constants included.  Kept bit-for-bit stable —
-    benchmarks and differential tests compare against it.
-    """
-
-    def __init__(self, solver: SatSolver) -> None:
-        self.sat = solver
-        self._bool_cache: Dict[T.Term, int] = {}
-        self._bv_cache: Dict[T.Term, List[int]] = {}
-        self._var_bits: Dict[str, List[int]] = {}
-        self._true_lit: int | None = None
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def assert_term(self, term: T.Term) -> None:
-        """Assert that a boolean term is true."""
-        lit = self.encode_bool(term)
-        self.sat.add_clause([lit])
-
-    def literal_for(self, term: T.Term) -> int:
-        """SAT literal equivalent to the boolean term (for assumptions)."""
-        return self.encode_bool(term)
-
-    def variable_bits(self, name: str) -> List[int] | None:
-        """SAT variables backing a bitvector variable, LSB first."""
-        return self._var_bits.get(name)
-
-    # ------------------------------------------------------------------
-    # Primitive helpers
-    # ------------------------------------------------------------------
-    def _const_lit(self, value: bool) -> int:
-        """A literal that is constrained to the given constant value."""
-        if self._true_lit is None:
-            v = self.sat.new_var()
-            self._true_lit = pos_lit(v)
-            self.sat.add_clause([self._true_lit])
-        return self._true_lit if value else self._true_lit ^ 1
-
-    def _fresh(self) -> int:
-        return pos_lit(self.sat.new_var())
-
-    def _emit_and(self, lits: List[int]) -> int:
-        """Literal g with g <-> AND(lits)."""
-        out = self._fresh()
-        for lit in lits:
-            self.sat.add_clause([out ^ 1, lit])
-        self.sat.add_clause([out] + [lit ^ 1 for lit in lits])
-        return out
-
-    def _emit_or(self, lits: List[int]) -> int:
-        """Literal g with g <-> OR(lits)."""
-        out = self._fresh()
-        for lit in lits:
-            self.sat.add_clause([out, lit ^ 1])
-        self.sat.add_clause([out ^ 1] + list(lits))
-        return out
-
-    def _emit_xor(self, a: int, b: int) -> int:
-        out = self._fresh()
-        self.sat.add_clause([out ^ 1, a, b])
-        self.sat.add_clause([out ^ 1, a ^ 1, b ^ 1])
-        self.sat.add_clause([out, a ^ 1, b])
-        self.sat.add_clause([out, a, b ^ 1])
-        return out
-
-    def _emit_ite(self, c: int, t: int, e: int) -> int:
-        out = self._fresh()
-        self.sat.add_clause([c ^ 1, t ^ 1, out])
-        self.sat.add_clause([c ^ 1, t, out ^ 1])
-        self.sat.add_clause([c, e ^ 1, out])
-        self.sat.add_clause([c, e, out ^ 1])
-        return out
-
-    def _emit_iff(self, a: int, b: int) -> int:
-        """Literal g with g <-> (a <-> b)."""
-        return self._emit_xor(a, b) ^ 1
-
-    def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
-        """Returns (sum, carry-out) literals."""
-        s = self._emit_xor(self._emit_xor(a, b), cin)
-        carry = self._emit_or(
-            [self._emit_and([a, b]), self._emit_and([a, cin]), self._emit_and([b, cin])]
-        )
-        return s, carry
-
-    # ------------------------------------------------------------------
-    # Boolean encoding
-    # ------------------------------------------------------------------
-    def encode_bool(self, term: T.Term) -> int:
-        cached = self._bool_cache.get(term)
-        if cached is not None:
-            return cached
-        op = term.op
-        if op == T.OP_CONST:
-            lit = self._const_lit(bool(term.payload))
-        elif op == T.OP_VAR:
-            lit = self._fresh()
-            self._var_bits.setdefault(term.payload, [lit])
-        elif op == T.OP_NOT:
-            lit = self.encode_bool(term.args[0]) ^ 1
-        elif op == T.OP_AND:
-            lit = self._emit_and([self.encode_bool(a) for a in term.args])
-        elif op == T.OP_OR:
-            lit = self._emit_or([self.encode_bool(a) for a in term.args])
-        elif op == T.OP_XOR:
-            lit = self._emit_xor(self.encode_bool(term.args[0]), self.encode_bool(term.args[1]))
-        elif op == T.OP_ITE:
-            lit = self._emit_ite(
-                self.encode_bool(term.args[0]),
-                self.encode_bool(term.args[1]),
-                self.encode_bool(term.args[2]),
-            )
-        elif op == T.OP_EQ:
-            a, b = term.args
-            if a.is_bool:
-                lit = self._emit_iff(self.encode_bool(a), self.encode_bool(b))
-            else:
-                abits = self.encode_bv(a)
-                bbits = self.encode_bv(b)
-                lit = self._emit_and(
-                    [self._emit_iff(x, y) for x, y in zip(abits, bbits, strict=True)]
-                )
-        elif op in (T.OP_ULT, T.OP_ULE):
-            lit = self._encode_unsigned_cmp(term.args[0], term.args[1], strict=op == T.OP_ULT)
-        elif op in (T.OP_SLT, T.OP_SLE):
-            lit = self._encode_signed_cmp(term.args[0], term.args[1], strict=op == T.OP_SLT)
-        else:  # pragma: no cover - defensive
-            raise NotImplementedError(f"encode_bool: unknown op {op}")
-        self._bool_cache[term] = lit
-        return lit
-
-    def _encode_unsigned_cmp(self, a: T.Term, b: T.Term, strict: bool) -> int:
-        abits = self.encode_bv(a)
-        bbits = self.encode_bv(b)
-        # result starts as (not strict) for the empty suffix, then from LSB to
-        # MSB: result = (a_i < b_i) or (a_i == b_i and result)
-        result = self._const_lit(not strict)
-        for x, y in zip(abits, bbits, strict=True):
-            less = self._emit_and([x ^ 1, y])
-            same = self._emit_iff(x, y)
-            result = self._emit_or([less, self._emit_and([same, result])])
-        return result
-
-    def _encode_signed_cmp(self, a: T.Term, b: T.Term, strict: bool) -> int:
-        abits = self.encode_bv(a)
-        bbits = self.encode_bv(b)
-        asign, bsign = abits[-1], bbits[-1]
-        unsigned = self._const_lit(not strict)
-        for x, y in zip(abits[:-1], bbits[:-1], strict=True):
-            less = self._emit_and([x ^ 1, y])
-            same = self._emit_iff(x, y)
-            unsigned = self._emit_or([less, self._emit_and([same, unsigned])])
-        # a < b  iff  (a negative, b non-negative) or (same sign and
-        # unsigned-compare of the low bits)
-        neg_pos = self._emit_and([asign, bsign ^ 1])
-        same_sign = self._emit_iff(asign, bsign)
-        return self._emit_or([neg_pos, self._emit_and([same_sign, unsigned])])
-
-    # ------------------------------------------------------------------
-    # Bitvector encoding
-    # ------------------------------------------------------------------
-    def encode_bv(self, term: T.Term) -> List[int]:
-        cached = self._bv_cache.get(term)
-        if cached is not None:
-            return cached
-        op = term.op
-        width = term.width
-        if op == T.OP_CONST:
-            bits = [self._const_lit(bool((term.payload >> i) & 1)) for i in range(width)]
-        elif op == T.OP_VAR:
-            bits = [self._fresh() for _ in range(width)]
-            self._var_bits.setdefault(term.payload, bits)
-        elif op == T.OP_BVNOT:
-            bits = [b ^ 1 for b in self.encode_bv(term.args[0])]
-        elif op == T.OP_BVAND:
-            bits = [
-                self._emit_and([x, y])
-                for x, y in zip(self.encode_bv(term.args[0]), self.encode_bv(term.args[1]), strict=True)
-            ]
-        elif op == T.OP_BVOR:
-            bits = [
-                self._emit_or([x, y])
-                for x, y in zip(self.encode_bv(term.args[0]), self.encode_bv(term.args[1]), strict=True)
-            ]
-        elif op == T.OP_BVXOR:
-            bits = [
-                self._emit_xor(x, y)
-                for x, y in zip(self.encode_bv(term.args[0]), self.encode_bv(term.args[1]), strict=True)
-            ]
-        elif op == T.OP_BVADD:
-            bits = self._encode_add(
-                self.encode_bv(term.args[0]), self.encode_bv(term.args[1]), carry_in=False
-            )
-        elif op == T.OP_BVSUB:
-            # a - b == a + ~b + 1
-            bbits = [b ^ 1 for b in self.encode_bv(term.args[1])]
-            bits = self._encode_add(self.encode_bv(term.args[0]), bbits, carry_in=True)
-        elif op == T.OP_BVNEG:
-            bbits = [b ^ 1 for b in self.encode_bv(term.args[0])]
-            zero = [self._const_lit(False)] * width
-            bits = self._encode_add(zero, bbits, carry_in=True)
-        elif op == T.OP_BVMUL:
-            bits = self._encode_mul(self.encode_bv(term.args[0]), self.encode_bv(term.args[1]))
-        elif op == T.OP_BVSHL:
-            child = self.encode_bv(term.args[0])
-            amount = term.payload
-            bits = [self._const_lit(False)] * min(amount, width) + child[: max(width - amount, 0)]
-        elif op == T.OP_BVLSHR:
-            child = self.encode_bv(term.args[0])
-            amount = term.payload
-            bits = child[amount:] + [self._const_lit(False)] * min(amount, width)
-        elif op == T.OP_CONCAT:
-            bits = []
-            for part in reversed(term.args):  # last arg holds the LSBs
-                bits.extend(self.encode_bv(part))
-        elif op == T.OP_EXTRACT:
-            hi, lo = term.payload
-            bits = self.encode_bv(term.args[0])[lo : hi + 1]
-        elif op == T.OP_ZEXT:
-            bits = self.encode_bv(term.args[0]) + [self._const_lit(False)] * term.payload
-        elif op == T.OP_SEXT:
-            child = self.encode_bv(term.args[0])
-            bits = child + [child[-1]] * term.payload
-        elif op == T.OP_ITE:
-            # Guarded-command states nest one ite per table entry through the
-            # *else* branch; walk that chain iteratively (a 1300-entry table
-            # would otherwise recurse 1300 frames deep) and encode from the
-            # innermost default outwards.
-            chain = [term]
-            tail = term.args[2]
-            while (
-                tail.op == T.OP_ITE
-                and tail.is_bv
-                and tail not in self._bv_cache
-            ):
-                chain.append(tail)
-                tail = tail.args[2]
-            bits = self.encode_bv(tail)
-            for node in reversed(chain):
-                c = self.encode_bool(node.args[0])
-                tbits = self.encode_bv(node.args[1])
-                bits = [self._emit_ite(c, x, y) for x, y in zip(tbits, bits, strict=True)]
-                self._bv_cache[node] = bits
-        else:  # pragma: no cover - defensive
-            raise NotImplementedError(f"encode_bv: unknown op {op}")
-        assert len(bits) == width, f"width mismatch encoding {term!r}"
-        self._bv_cache[term] = bits
-        return bits
-
-    def _encode_add(self, abits: List[int], bbits: List[int], carry_in: bool) -> List[int]:
-        carry = self._const_lit(carry_in)
-        out = []
-        for x, y in zip(abits, bbits, strict=True):
-            s, carry = self._full_adder(x, y, carry)
-            out.append(s)
-        return out
-
-    def _encode_mul(self, abits: List[int], bbits: List[int]) -> List[int]:
-        width = len(abits)
-        acc = [self._const_lit(False)] * width
-        for i, b in enumerate(bbits):
-            # Partial product: (a << i) AND b, added into the accumulator.
-            partial = [self._const_lit(False)] * i + [
-                self._emit_and([a, b]) for a in abits[: width - i]
-            ]
-            acc = self._encode_add(acc, partial, carry_in=False)
-        return acc
-
-
-# ----------------------------------------------------------------------
-# Polarity-aware structural encoder
-# ----------------------------------------------------------------------
 
 # Polarity masks: how the literal a subroutine returns may be *used* by its
 # caller.  POS = the literal can be required true (so the clauses deriving
@@ -324,9 +41,8 @@ def _swap_pol(pol: int) -> int:
 class StructuralBitBlaster:
     """Clause-economical encoder: folding, hashing, Plaisted–Greenbaum.
 
-    Same public surface as :class:`BitBlaster` (``assert_term`` /
-    ``literal_for`` / ``variable_bits`` / ``encode_bool`` / ``encode_bv``),
-    drop-in behind :class:`repro.smt.solver.Solver`.
+    Public surface, as used by :class:`repro.smt.solver.Solver`:
+    ``assert_term`` / ``literal_for`` / ``variable_bits``.
 
     Soundness of the polarity bookkeeping: the emitted clause set always
     lies between the Plaisted–Greenbaum subset required by each gate's
@@ -377,8 +93,7 @@ class StructuralBitBlaster:
         ever required *true*), but the root gate itself gets both
         directions: SolverPool treats these literals as activation
         switches, and the upward clauses let the solver derive the root
-        when its inputs hold — same activation semantics as the Tseitin
-        encoder.
+        when its inputs hold.
         """
         lit = self.encode_bool(term, POS)
         self._root_bidirectional(term)

@@ -28,7 +28,7 @@ equivalence guard between the two.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet, Mapping
 
 from repro.smt import terms as T
 
@@ -313,7 +313,3 @@ def evaluate_compiled(term: T.Term, assignment: Mapping[str, int]) -> int:
     """Drop-in replacement for :func:`terms.evaluate` via the compile cache."""
     return compile_term(term).evaluate(assignment)
 
-
-def cache_info() -> Tuple[int, int]:
-    """(number of compiled terms, total slots across them) — for tests."""
-    return len(_COMPILE_CACHE), sum(c.size for c in _COMPILE_CACHE.values())

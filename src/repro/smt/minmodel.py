@@ -2,15 +2,17 @@
 
 Canonical witness extraction is the property that makes deep solver
 rewrites safe in this repo: a verdict's artifact is a pure function of
-the formula, never of pool warmth, encoder choice, or kernel heuristics.
-This module holds the minimization core so both the analysis layer
-(:mod:`repro.analysis.witness`) and the fuzzer's constraint-model
-sampling share one implementation.
+the formula, never of pool warmth or kernel heuristics.  This module
+holds the minimization core that the analysis layer
+(:mod:`repro.analysis.witness`), the fuzzer's constraint-model sampling
+and packet generation's last-resort descent share.
 
 ``minimal_assignment`` pins variables in sorted-name order, minimizing
-each given the pins before it; ``_minimal_value`` is the greedy
-MSB-first prefer-zero descent used per variable.  Everything flows
-through ``Solver.check(*assumptions)``, so pooled warm solvers are safe.
+each given the pins before it; ``descend_bits`` is the greedy MSB-first
+prefer-the-background descent used per variable, here with a zero
+background and by packet generation with realistic field values.
+Everything flows through ``Solver.check(*assumptions)``, so pooled warm
+solvers are safe.
 
 Caveat for callers: the concrete fast path compiles only the
 *assumptions*, so any constraint that lives in the solver's permanent
@@ -21,67 +23,100 @@ at zero by the evaluator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smt import terms as T
 from repro.smt.compile import compile_term
 from repro.smt.solver import Result, Solver
 
 
-def _minimal_value(
-    solver: Solver, assumptions: Sequence[T.Term], pins: List[T.Term], term: T.Term
-) -> int:
-    """The smallest value of ``term`` consistent with the assumptions and
-    the pins fixed so far.
+def descend_bits(
+    solver: Solver, assumptions: Sequence[T.Term], term: T.Term, background: int = 0
+) -> Tuple[int, int]:
+    """``(value, solver checks spent)`` for bitvector variable ``term``: the
+    value a greedy MSB-first walk would produce — at each position prefer
+    the ``background`` bit, flip only when the preferred bit is
+    unsatisfiable given the bits fixed so far.  With a zero background the
+    greedy walk *is* unsigned minimization; either way the result is
+    unique, hence independent of solver history.
 
-    Greedy MSB-first prefer-zero descent, computed segment-wise: try the
-    whole remaining run of zero bits in one check; on failure
-    binary-search the longest satisfiable zero prefix (prefix
-    satisfiability is monotone), after which the next bit is forced to 1.
-    With a zero background the greedy walk *is* unsigned minimization, so
-    the result is the unique minimum — independent of solver history.
+    Computed segment-wise instead of bit-wise: first try the whole
+    remaining suffix of background bits in one check; on failure,
+    binary-search the longest satisfiable preferred prefix (prefix
+    satisfiability is monotone), after which the next bit's flip is
+    forced — every model of the pinned prefix already has it flipped, so
+    no check is needed.  O(flips · log width) solver checks instead of
+    O(width), same value bit for bit.
 
-    Precondition: the caller established that value 0 is unsatisfiable
-    and that the assumption set itself is satisfiable.
-    """
-    width = term.width
+    Precondition: the caller established that ``assumptions`` are
+    satisfiable and that the full background value is not (it was a
+    rejected candidate), so the first iteration skips the whole-suffix
+    check."""
     value = 0
-    bit_pins: List[T.Term] = []
+    checks = 0
+    pins: List[T.Term] = []
+    full_suffix_known_unsat = True
 
-    def zero_pins(msb: int, count: int) -> List[T.Term]:
+    def preferred_pins(msb: int, count: int) -> List[T.Term]:
         return [
-            T.extract(term, b, b).eq(T.bv_const(0, 1))
+            T.extract(term, b, b).eq(T.bv_const((background >> b) & 1, 1))
             for b in range(msb, msb - count, -1)
         ]
 
     def sat_with(extra: List[T.Term]) -> bool:
-        return (
-            solver.check(*assumptions, *pins, *bit_pins, *extra) is Result.SAT
-        )
+        nonlocal checks
+        checks += 1
+        return solver.check(*assumptions, *pins, *extra) is Result.SAT
 
-    bit = width - 1
-    first = True
+    # A completion consistent with the assumptions (one guaranteed-SAT
+    # check).  Its bits are SAT *witnesses*: wherever the completion
+    # already agrees with the background, the corresponding preferred-run
+    # check is known SAT without asking the solver.  It never decides a
+    # value — the greedy preferred-first choice is unchanged — so the
+    # result stays solver-history-independent.
+    sat_with([])
+    comp = solver.model([term.name])[term.name]
+
+    def agreement(msb: int, limit: int) -> int:
+        run = 0
+        while run < limit and (
+            ((comp >> (msb - run)) & 1) == ((background >> (msb - run)) & 1)
+        ):
+            run += 1
+        return run
+
+    bit = term.width - 1
     while bit >= 0:
         remaining = bit + 1
-        if not first and sat_with(zero_pins(bit, remaining)):
-            # The whole suffix can be zero; the value so far is minimal.
+        agree = agreement(bit, remaining)
+        if not full_suffix_known_unsat and (
+            agree == remaining or sat_with(preferred_pins(bit, remaining))
+        ):
+            value |= background & ((1 << remaining) - 1)
             break
-        first = False
-        lo, hi = 0, remaining  # lo known-SAT run length, hi known-UNSAT
+        full_suffix_known_unsat = False
+        # Longest satisfiable run of preferred bits below `bit`: lo is
+        # known-SAT (the completion witnesses `agree`), hi known-UNSAT.
+        lo, hi = agree, remaining
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if sat_with(zero_pins(bit, mid)):
-                lo = mid
+            if sat_with(preferred_pins(bit, mid)):
+                comp = solver.model([term.name])[term.name]
+                # The fresh completion satisfies the mid-run and may
+                # agree further down — extend lo for free.
+                lo = max(mid, agreement(bit, remaining - 1))
             else:
                 hi = mid
         if lo:
-            bit_pins.extend(zero_pins(bit, lo))
+            pins.extend(preferred_pins(bit, lo))
+            run = (background >> (bit - lo + 1)) & ((1 << lo) - 1)
+            value |= run << (bit - lo + 1)
             bit -= lo
-        # The next bit cannot be zero: every model has it set.
-        bit_pins.append(T.extract(term, bit, bit).eq(T.bv_const(1, 1)))
-        value |= 1 << bit
+        flipped = 1 - ((background >> bit) & 1)
+        pins.append(T.extract(term, bit, bit).eq(T.bv_const(flipped, 1)))
+        value |= flipped << bit
         bit -= 1
-    return value
+    return value, checks
 
 
 def minimal_assignment(
@@ -126,7 +161,9 @@ def minimal_assignment(
         if chosen is None:
             # For booleans, zero (false) is unsat, so true is forced.
             chosen = (
-                1 if is_bool else _minimal_value(solver, assumptions, pins, term)
+                1
+                if is_bool
+                else descend_bits(solver, [*assumptions, *pins], term)[0]
             )
             pin = term if is_bool else term.eq(T.bv_const(chosen, term.width))
             solver.check(*assumptions, *pins, pin)

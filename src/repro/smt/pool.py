@@ -12,7 +12,7 @@ A :class:`SolverPool` keeps one long-lived solver per key (per
 (program, profile) for generation, per table for the fuzzer's constraint
 models).  Only the state-independent constraint groups are ever asserted
 permanently; per-state goal conditions flow in through
-``Solver.check(assumptions)``, whose Tseitin root literals act as the
+``Solver.check(assumptions)``, whose root gate literals act as the
 activation literals — flipping which condition is "on" is a new assumption
 set against the same encoding, reusing the blaster's per-term caches and
 the SAT solver's learned clauses (``SatSolver.solve(assumptions)``).
@@ -46,11 +46,7 @@ MISS = object()
 class SolverPool:
     """Keyed, long-lived incremental solvers with assert-once constraints."""
 
-    def __init__(self, encoder: str = "structural", kernel: str = "modern") -> None:
-        # Encoder/kernel config applies to every solver the pool builds;
-        # legacy values turn the whole pool into a differential baseline.
-        self.encoder = encoder
-        self.kernel = kernel
+    def __init__(self) -> None:
         self._solvers: Dict[PoolKey, Solver] = {}
         # Terms already permanently asserted per solver.  Identity-keyed:
         # hash-consing makes "same structure" mean "same object", so an
@@ -91,11 +87,7 @@ class SolverPool:
         """
         solver = self._solvers.get(key)
         if solver is None:
-            solver = Solver(
-                simplify_terms=simplify_terms,
-                encoder=self.encoder,
-                kernel=self.kernel,
-            )
+            solver = Solver(simplify_terms=simplify_terms)
             self._solvers[key] = solver
             self._asserted[key] = set()
             self.misses += 1

@@ -24,10 +24,10 @@ Implements the standard modern architecture:
   once and answer many coverage queries (p4-symbolic poses one query per
   table entry / branch) without re-encoding.
 
-The previous activity-only kernel is retained verbatim as
-:class:`repro.smt.legacy_sat.LegacySatSolver` and selectable through
-``Solver(kernel="legacy")`` — the differential baseline for the verdict-
-identity tests and the clause-economy benchmark.
+This is the only SAT kernel in the repo.  Its UNSAT answers are checkable
+by something simpler than itself: a log collected through
+:attr:`SatSolver.proof` is replayed by ``tests/rup.py`` using unit
+propagation alone (see DESIGN.md, "How an UNSAT is certified").
 
 Literal encoding: variable ``v`` (1-based) has positive literal ``2*v`` and
 negative literal ``2*v + 1``; ``lit ^ 1`` negates.
@@ -51,10 +51,6 @@ UNASSIGNED = -1
 
 def var_of(lit: int) -> int:
     return lit >> 1
-
-
-def is_negative(lit: int) -> bool:
-    return bool(lit & 1)
 
 
 def pos_lit(var: int) -> int:
@@ -142,6 +138,12 @@ class SatSolver:
         # When solving under assumptions that turn out to be unsatisfiable,
         # this holds the subset of failing assumption literals.
         self.failed_assumptions: List[int] = []
+        # Test-facing proof sink: an attached list receives, in order,
+        # ("a", lits) for every clause offered to add_clause, ("l", lits)
+        # for every learned clause after minimisation (units and binaries
+        # too) and ("u", assumptions) for every solve() returning False.
+        # Deletions are not logged; a forward checker does not need them.
+        self.proof: Optional[List[Tuple[str, Tuple[int, ...]]]] = None
 
     # ------------------------------------------------------------------
     # Problem construction
@@ -171,6 +173,8 @@ class SatSolver:
 
         Must be called at decision level 0 (i.e. before/between solves).
         """
+        if self.proof is not None:
+            self.proof.append(("a", tuple(lits)))
         if not self._ok:
             return False
         self.clauses_received += 1
@@ -336,17 +340,6 @@ class SatSolver:
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------
-    def _reason_lits(self, lit: int) -> Sequence[int]:
-        """The literals of the clause that propagated trail literal ``lit``.
-
-        For binary reasons the clause is reconstructed from the tag; the
-        caller must not mutate the result.
-        """
-        r = self._reason[lit >> 1]
-        if r >= 0:
-            return self._clauses[r]
-        return (lit, -2 - r)
-
     def _analyze(self, conflict: Tuple[Sequence[int], int]) -> tuple[List[int], int, int]:
         """First-UIP analysis. Returns (learned_clause, backjump_level, lbd).
 
@@ -589,6 +582,13 @@ class SatSolver:
         False (UNSAT under these assumptions; ``failed_assumptions`` holds a
         subset of assumptions responsible, when assumptions were used).
         """
+        assumptions = list(assumptions)
+        sat = self._search(assumptions)
+        if not sat and self.proof is not None:
+            self.proof.append(("u", tuple(assumptions)))
+        return sat
+
+    def _search(self, assumptions: List[int]) -> bool:
         self.failed_assumptions = []
         if not self._ok:
             return False
@@ -598,7 +598,6 @@ class SatSolver:
             self._ok = False
             return False
 
-        assumptions = list(assumptions)
         restart_count = 0
         conflict_budget = 100 * _luby(restart_count + 1)
         conflicts_here = 0
@@ -612,6 +611,8 @@ class SatSolver:
                     self._ok = False
                     return False
                 learned, backjump, lbd = self._analyze(conflict)
+                if self.proof is not None:
+                    self.proof.append(("l", tuple(learned)))
                 self._cancel_until(max(backjump, 0))
                 if len(learned) == 1:
                     if not self._enqueue(learned[0], -1):

@@ -14,14 +14,10 @@ import enum
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.smt import terms as T
-from repro.smt.bitblast import BitBlaster, StructuralBitBlaster
+from repro.smt.bitblast import StructuralBitBlaster
 from repro.smt.compile import evaluate_compiled
-from repro.smt.legacy_sat import LegacySatSolver
 from repro.smt.sat import SatSolver
 from repro.smt.simplify import simplify
-
-_ENCODERS = {"structural": StructuralBitBlaster, "tseitin": BitBlaster}
-_KERNELS = {"modern": SatSolver, "legacy": LegacySatSolver}
 
 
 class Result(enum.Enum):
@@ -73,29 +69,22 @@ class Solver:
         assert s.model()["x"] < 10
     """
 
-    def __init__(
-        self,
-        simplify_terms: bool = True,
-        encoder: str = "structural",
-        kernel: str = "modern",
-    ) -> None:
-        """``encoder`` picks the bit-blaster (``"structural"`` — polarity-aware
-        with gate sharing and constant folding — or the retained ``"tseitin"``
-        baseline); ``kernel`` picks the SAT core (``"modern"`` with blocking
-        literals/binary lists/LBD retention, or ``"legacy"``).  Both baselines
-        exist for differential testing; defaults are the fast paths."""
-        if encoder not in _ENCODERS:
-            raise ValueError(f"unknown encoder {encoder!r}; choose from {sorted(_ENCODERS)}")
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}")
-        self.encoder = encoder
-        self.kernel = kernel
-        self._sat = _KERNELS[kernel]()
-        self._blaster = _ENCODERS[encoder](self._sat)
+    def __init__(self, simplify_terms: bool = True) -> None:
+        self._sat = SatSolver()
+        self._blaster = StructuralBitBlaster(self._sat)
         self._simplify = simplify_terms
         self._assertions: List[T.Term] = []
         self._last_result: Optional[Result] = None
         self._var_sorts: Dict[str, T.Sort] = {}
+
+    @property
+    def proof(self):
+        """The kernel's proof sink (:attr:`SatSolver.proof`); test-facing."""
+        return self._sat.proof
+
+    @proof.setter
+    def proof(self, sink) -> None:
+        self._sat.proof = sink
 
     # ------------------------------------------------------------------
     # Assertions
@@ -188,8 +177,8 @@ class Solver:
             "propagations": self._sat.propagations,
             "restarts": self._sat.restarts,
             "sat_vars": self._sat.num_vars,
-            "cnf_clauses": getattr(self._sat, "clauses_received", 0),
-            "gates_shared": getattr(self._blaster, "gates_shared", 0),
-            "db_reductions": getattr(self._sat, "db_reductions", 0),
-            "minimized_literals": getattr(self._sat, "minimized_literals", 0),
+            "cnf_clauses": self._sat.clauses_received,
+            "gates_shared": self._blaster.gates_shared,
+            "db_reductions": self._sat.db_reductions,
+            "minimized_literals": self._sat.minimized_literals,
         }

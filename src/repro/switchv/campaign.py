@@ -71,12 +71,6 @@ class CampaignConfig:
     # with error-severity diagnostics yields MODEL_ERROR incidents and no
     # fuzzing/replay happens (repro.analysis).
     lint_model: bool = False
-    # Cross-state incremental solving: keep one SolverPool alive for the
-    # whole campaign so successive table states reuse bit-blasting, learned
-    # clauses, and solved-formula results (repro.smt.pool).  Verdicts and
-    # packets are byte-identical either way; False rebuilds solvers per
-    # state (the pre-pool behaviour).
-    reuse_solvers: bool = True
     # Greybox coverage feedback for the fuzz phase (repro.fuzzer.feedback):
     # per-batch trace-key scoring plus uncovered-region biasing.  Fleet
     # workers inherit this through the pickled CampaignConfig.
@@ -122,7 +116,6 @@ def build_campaign(
         retry_policy=config.retry_policy,
         lint_model=config.lint_model,
         pipeline_depth=config.pipeline_depth,
-        reuse_solvers=config.reuse_solvers,
         coverage_guided=config.coverage_guided,
     )
     return CampaignSetup(

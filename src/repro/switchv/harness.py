@@ -111,7 +111,6 @@ class SwitchVHarness:
         retry_policy=None,
         lint_model: bool = False,
         pipeline_depth: int = 1,
-        reuse_solvers: bool = True,
         solver_pool: Optional[SolverPool] = None,
         coverage_guided: bool = False,
     ) -> None:
@@ -163,10 +162,7 @@ class SwitchVHarness:
         # (fuzzing batches, churn replays, re-validation after an edit).
         # Witness packets are canonical (solver-history-independent), so a
         # warm pool produces byte-identical results to a cold run.
-        if solver_pool is not None:
-            self.solver_pool: Optional[SolverPool] = solver_pool
-        else:
-            self.solver_pool = SolverPool() if reuse_solvers else None
+        self.solver_pool = solver_pool if solver_pool is not None else SolverPool()
 
     def _lint_gate(self, report: ValidationReport) -> bool:
         """True when the model failed the lint gate (campaign must not run).

@@ -226,8 +226,8 @@ def collect_generation_effort(report) -> Dict[str, float]:
 
     Takes a :class:`repro.switchv.harness.ValidationReport` (duck-typed
     like the other collectors) and reads its ``data_plane`` stats.  These
-    are the clause-economy numbers the ``cnf-kernel`` benchmark tables
-    report: emitted SAT variables and clauses, structurally shared gates,
+    are the clause-economy numbers the benchmark's ``smt.*`` rows report:
+    emitted SAT variables and clauses, structurally shared gates,
     and the propagation/conflict effort behind the queries — what makes a
     speedup attributable to the encoding rather than wall-clock noise.
     Returns zeros when the run had no data-plane phase.

@@ -21,6 +21,7 @@ from repro.p4.ast import P4Program
 from repro.smt import Result, Solver
 from repro.smt import terms as T
 from repro.smt.compile import compile_term
+from repro.smt.minmodel import descend_bits
 from repro.smt.pool import MISS, SolverPool
 from repro.symbolic.coverage import CoverageGoal, CoverageMode, goals_for_mode
 from repro.symbolic.executor import ProfileExecution, SymbolicExecutor
@@ -112,21 +113,14 @@ class PacketGenerator:
         state: Mapping[str, Sequence[InstalledEntry]],
         valid_ports: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
         solver_pool: Optional[SolverPool] = None,
-        encoder: str = "structural",
-        kernel: str = "modern",
     ) -> None:
         self.program = program
         self.state = state
         self.valid_ports = tuple(valid_ports)
-        # Encoder/kernel selection for privately-built solvers.  When a
-        # pool is supplied its own configuration wins — every solver
-        # sharing a pool must agree on the encoding.
-        self.encoder = encoder
-        self.kernel = kernel
         # When a SolverPool is supplied, per-profile solvers are borrowed
         # from it instead of built fresh: across table states the profile
         # constraints are identical and unchanged goal subformulas are the
-        # *same* hash-consed terms, so a warm solver reuses its Tseitin
+        # *same* hash-consed terms, so a warm solver reuses its CNF
         # encoding and learned clauses and only encodes what an edit
         # actually changed.
         self._pool = solver_pool
@@ -166,9 +160,7 @@ class PacketGenerator:
                     simplify_terms=False,
                 )
             else:
-                solver = Solver(
-                    simplify_terms=False, encoder=self.encoder, kernel=self.kernel
-                )
+                solver = Solver(simplify_terms=False)
                 for constraint in execution.constraints:
                     solver.add(constraint)
             self._solvers[name] = solver
@@ -265,12 +257,12 @@ class PacketGenerator:
         totals = [0] * 6
         for name, solver in self._solvers.items():
             s = solver.stats
-            base = self._effort_base.get(name, (0, 0, 0, 0, 0, 0))
+            base = self._effort_base[name]
             for i, key in enumerate(
                 ("conflicts", "decisions", "propagations",
                  "sat_vars", "cnf_clauses", "gates_shared")
             ):
-                totals[i] += s[key] - (base[i] if i < len(base) else 0)
+                totals[i] += s[key] - base[i]
         return tuple(totals)
 
     def _account_effort(self, stats: GenerationStats, before: tuple) -> None:
@@ -478,9 +470,12 @@ class PacketGenerator:
                     model = dict(solver.model(compiled.variables | set(inputs_by_name)))
                     break
             if chosen is None:
-                chosen = self._descend_bits(
-                    solver, assumptions, fixed, term, background, stats
+                # Deterministic last resort; every candidate above,
+                # the background included, was just rejected.
+                chosen, checks = descend_bits(
+                    solver, [*assumptions, *fixed], term, background
                 )
+                stats.canonical_checks += checks
             witness[name] = chosen
             fixed.append(term.eq(T.bv_const(chosen, term.width)))
         return witness
@@ -530,92 +525,6 @@ class PacketGenerator:
                 hint = ((background & ~mask_term.payload) | rhs.payload) & width_mask
                 hints[name] = hints.get(name, ()) + (hint,)
         return pins, hints
-
-    def _descend_bits(
-        self, solver, assumptions, fixed, term, background: int, stats
-    ) -> int:
-        """Deterministic last resort: the value a greedy MSB-first walk
-        would produce — at each position prefer the background bit, flip
-        only when the preferred bit is unsatisfiable given the bits fixed
-        so far.  Computed segment-wise instead of bit-wise: first try the
-        whole remaining suffix of background bits in one check; on
-        failure, binary-search the longest satisfiable preferred prefix
-        (prefix satisfiability is monotone), after which the next bit's
-        flip is forced — every model of the pinned prefix already has it
-        flipped, so no check is needed.  O(flips · log width) solver
-        checks instead of O(width), same witness bit for bit.
-
-        Precondition: the caller already established that the full
-        background value is unsatisfiable (it was a rejected candidate),
-        so the first iteration skips the whole-suffix check."""
-        value = 0
-        pins: List[T.Term] = []
-        full_suffix_known_unsat = True
-
-        def preferred_pins(msb: int, count: int) -> List[T.Term]:
-            return [
-                T.extract(term, b, b).eq(T.bv_const((background >> b) & 1, 1))
-                for b in range(msb, msb - count, -1)
-            ]
-
-        def sat_with(extra: List[T.Term]) -> bool:
-            stats.canonical_checks += 1
-            return (
-                solver.check(*assumptions, *fixed, *pins, *extra) is Result.SAT
-            )
-
-        # A completion consistent with `fixed` (one guaranteed-SAT check).
-        # Its bits are SAT *witnesses*: wherever the completion already
-        # agrees with the background, the corresponding preferred-run
-        # check is known SAT without asking the solver.  It never decides
-        # a value — the greedy preferred-first choice is unchanged — so
-        # the witness stays solver-history-independent.
-        stats.canonical_checks += 1
-        solver.check(*assumptions, *fixed)
-        comp = solver.model([term.name])[term.name]
-
-        def agreement(msb: int, limit: int) -> int:
-            run = 0
-            while run < limit and (
-                ((comp >> (msb - run)) & 1) == ((background >> (msb - run)) & 1)
-            ):
-                run += 1
-            return run
-
-        bit = term.width - 1
-        while bit >= 0:
-            remaining = bit + 1
-            agree = agreement(bit, remaining)
-            if not full_suffix_known_unsat and (
-                agree == remaining or sat_with(preferred_pins(bit, remaining))
-            ):
-                pins.extend(preferred_pins(bit, remaining))
-                value |= background & ((1 << remaining) - 1)
-                break
-            full_suffix_known_unsat = False
-            # Longest satisfiable run of preferred bits below `bit`:
-            # lo is known-SAT (the completion witnesses `agree`),
-            # hi known-UNSAT.
-            lo, hi = agree, remaining
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if sat_with(preferred_pins(bit, mid)):
-                    comp = solver.model([term.name])[term.name]
-                    # The fresh completion satisfies the mid-run and may
-                    # agree further down — extend lo for free.
-                    lo = max(mid, agreement(bit, remaining - 1))
-                else:
-                    hi = mid
-            if lo:
-                pins.extend(preferred_pins(bit, lo))
-                run = (background >> (bit - lo + 1)) & ((1 << lo) - 1)
-                value |= run << (bit - lo + 1)
-                bit -= lo
-            flipped = 1 - ((background >> bit) & 1)
-            pins.append(T.extract(term, bit, bit).eq(T.bv_const(flipped, 1)))
-            value |= flipped << bit
-            bit -= 1
-        return value
 
     def _refinements(self, execution, condition: T.Term) -> tuple:
         """(background, soft_dst) refinement conjunctions for a goal.

@@ -1,14 +1,14 @@
-"""Differential guard: structural encoder + modern kernel vs the baselines.
+"""The one CNF pipeline against ground truth.
 
-The optimized pipeline (``Solver(encoder="structural", kernel="modern")``)
-must be observationally identical to the retained Tseitin encoder and
-legacy CDCL kernel: same SAT/UNSAT verdicts on every formula, models that
-satisfy the original term, the same verdict sequences under assumptions
-and pooled reuse, and the same canonical minimal models.  The random term
-machinery is shared with :mod:`tests.test_smt_compile`, so every operator
-and a spread of widths is covered by construction.
+There is one encoder and one kernel, so nothing here compares
+implementations.  Verdicts are judged by exhaustive enumeration with the
+``T.evaluate`` tree walk (random formulas are kept to 14 variable bits so
+that is cheap), SAT models are re-evaluated on the original term, and UNSAT
+answers are replayed by the forward-RUP checker in :mod:`tests.rup`.  (Test
+ids predate the second pipeline's deletion; kept so the floor stays put.)
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,158 +17,171 @@ from repro.smt import Result, Solver
 from repro.smt import terms as T
 from repro.smt.minmodel import minimal_assignment
 from repro.smt.pool import SolverPool
+from repro.symbolic import PacketGenerator
+from repro.workloads import production_like_entries
 
+from tests import test_smt_compile
+from tests.rup import check_proof
 from tests.test_smt_compile import _random_bool, _random_bv
+from tests.test_symbolic import decode_state
 
-COMBOS = [
-    ("structural", "modern"),
-    ("structural", "legacy"),
-    ("tseitin", "modern"),
-    ("tseitin", "legacy"),
-]
+MAX_BITS = 14
 
 
-def _check_all(formula, simplify_terms=True):
-    """Solve ``formula`` under every combo; returns the shared verdict.
+@pytest.fixture(autouse=True)
+def _narrow_widths(monkeypatch):
+    """The random generators' narrow-width mode: enumerable formulas."""
+    monkeypatch.setattr(test_smt_compile, "WIDTHS", (1, 2, 3, 4))
 
-    Asserts the verdicts agree and that every SAT model satisfies the
-    original term under the independent concrete evaluator.
-    """
-    verdicts = {}
-    for encoder, kernel in COMBOS:
-        s = Solver(simplify_terms=simplify_terms, encoder=encoder, kernel=kernel)
-        s.add(formula)
-        result = s.check()
-        verdicts[(encoder, kernel)] = result
-        if result is Result.SAT:
-            model = dict(s.model())
-            assert T.evaluate(formula, model) == 1, (
-                f"{encoder}/{kernel} model {model} falsifies {formula!r}"
-            )
-    assert len(set(verdicts.values())) == 1, f"verdict split: {verdicts}"
-    return next(iter(verdicts.values()))
+
+def _domains(*terms):
+    """name -> value range over the free variables of ``terms``."""
+    return {
+        name: range(1 << getattr(sort, "width", 1))
+        for term in terms
+        for name, sort in T.free_variables(term).items()
+    }
+
+
+def _enumerable(*terms):
+    return sum(len(d).bit_length() - 1 for d in _domains(*terms).values()) <= MAX_BITS
+
+
+def _least_model(formula):
+    """Ground truth by enumeration: the lexicographically least satisfying
+    assignment (sorted names, first name most significant), or None."""
+    domains = _domains(formula)
+    names = sorted(domains)
+    for values in itertools.product(*(domains[n] for n in names)):
+        assignment = dict(zip(names, values, strict=True))
+        if T.evaluate(formula, assignment):
+            return assignment
+    return None
+
+
+def _check(solver, asserted, *assumptions):
+    """One ``check()`` judged by enumeration; returns the verdict."""
+    formula = T.and_(*asserted, *assumptions)
+    result = solver.check(*assumptions)
+    assert (result is Result.SAT) == (_least_model(formula) is not None), formula
+    if result is Result.SAT:
+        model = dict(solver.model())
+        assert T.evaluate(formula, model) == 1, f"{model} falsifies {formula!r}"
+    return result
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_formulas_agree_across_encoders_and_kernels(seed):
     rng = random.Random(7000 + seed)
-    saw_sat = saw_unsat = False
-    for _ in range(12):
-        formula = _random_bool(rng, depth=4)
-        verdict = _check_all(formula, simplify_terms=bool(rng.getrandbits(1)))
-        saw_sat |= verdict is Result.SAT
-        saw_unsat |= verdict is Result.UNSAT
-    # The generator reliably produces both outcomes over 12 formulas; a
-    # seed where it does not would silently weaken the test.
-    assert saw_sat
+    verdicts = []
+    while len(verdicts) < 40:
+        formula = _random_bool(rng, depth=5)
+        if not _enumerable(formula):
+            continue
+        solver = Solver(simplify_terms=bool(rng.getrandbits(1)))
+        solver.proof = []
+        solver.add(formula)
+        verdicts.append(_check(solver, [formula]))
+        if verdicts[-1] is Result.UNSAT:
+            assert check_proof(solver.proof) == 1
+    # A seed without both outcomes would silently weaken the test.
+    assert set(verdicts) == {Result.SAT, Result.UNSAT}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_assumption_sequences_agree(seed):
-    # The SolverPool usage pattern: one base encoding, many goal
-    # assumptions checked against it in sequence.  The verdict *sequence*
-    # (not just the final answer) must be identical — this exercises
-    # literal_for's bidirectional root gates on the structural path.
+    # The SolverPool usage pattern: one base encoding, many assumptions
+    # in sequence, every step judged by enumeration — this exercises
+    # literal_for's bidirectional root gates.
     rng = random.Random(8000 + seed)
-    width = rng.choice([4, 8, 16])
-    base = _random_bool(rng, depth=3)
-    assumptions = [_random_bool(rng, depth=2) for _ in range(6)]
-    sequences = {}
-    for encoder, kernel in COMBOS:
-        s = Solver(encoder=encoder, kernel=kernel)
-        s.add(base)
-        seq = []
-        for a in assumptions:
-            result = s.check(a)
-            seq.append(result)
-            if result is Result.SAT:
-                model = dict(s.model())
-                assert T.evaluate(T.and_(base, a), model) == 1
-        # A joint check and a bare re-check keep the encoding reusable.
-        seq.append(s.check(*assumptions))
-        seq.append(s.check())
-        sequences[(encoder, kernel)] = tuple(seq)
-    assert len(set(sequences.values())) == 1, f"sequence split: {sequences}"
+    while True:
+        base = _random_bool(rng, depth=3)
+        assumptions = [_random_bool(rng, depth=2) for _ in range(6)]
+        if _enumerable(base, *assumptions):
+            break
+    solver = Solver()
+    solver.proof = []
+    solver.add(base)
+    for a in assumptions:
+        _check(solver, [base], a)
+    # A joint check and a bare re-check keep the encoding reusable.
+    _check(solver, [base], *assumptions)
+    _check(solver, [base])
+    check_proof(solver.proof)
     # Structured goals over one bitvector, shaped like entry coverage.
+    width = rng.choice([4, 8, 12])
     x = T.bv_var(f"cov{width}", width)
+    bound = x.ult(T.bv_const(8, width))
+    solver = Solver()
+    solver.proof = []
+    solver.add(bound)
     goals = [x.eq(T.bv_const(v % (1 << width), width)) for v in (0, 3, 7, 250)]
-    for encoder, kernel in COMBOS:
-        s = Solver(encoder=encoder, kernel=kernel)
-        s.add(x.ult(T.bv_const(8, width)))
-        assert [s.check(g) for g in goals] == [
-            Result.SAT, Result.SAT, Result.SAT, Result.UNSAT,
-        ]
+    assert [_check(solver, [bound], g) for g in goals] == [
+        Result.SAT, Result.SAT, Result.SAT, Result.UNSAT,
+    ]
+    assert check_proof(solver.proof) == 1
 
 
 def test_pooled_reuse_agrees_across_configurations():
-    # Two "table states" against one pooled solver per config: the second
-    # state's constraints extend the first's warm encoding.
-    x = T.bv_var("px", 8)
-    y = T.bv_var("py", 8)
-    state1 = [x.ult(T.bv_const(100, 8))]
-    state2 = [y.eq(x + T.bv_const(1, 8))]
-    goals = [
-        x.eq(T.bv_const(3, 8)),
-        T.and_(x.eq(T.bv_const(4, 8)), y.eq(T.bv_const(5, 8))),
-        T.and_(x.eq(T.bv_const(4, 8)), y.eq(T.bv_const(9, 8))),
-        x.eq(T.bv_const(200, 8)),
-    ]
-    sequences = {}
-    for encoder, kernel in COMBOS:
-        pool = SolverPool(encoder=encoder, kernel=kernel)
-        s = pool.solver(("prog", "profile"), state1)
-        seq = [s.check(goals[0])]
-        s = pool.solver(("prog", "profile"), state1 + state2)
-        seq.extend(s.check(g) for g in goals[1:])
-        sequences[(encoder, kernel)] = tuple(seq)
-        assert pool.hits == 1 and pool.misses == 1
-    assert len(set(sequences.values())) == 1, f"pooled split: {sequences}"
+    # Two "table states" against one pooled solver: the second extends the
+    # first's warm encoding; answers match enumeration at every step.
+    x = T.bv_var("px", 6)
+    y = T.bv_var("py", 6)
+    state1 = [x.ult(T.bv_const(40, 6))]
+    state2 = [y.eq(x + T.bv_const(1, 6))]
+    pool = SolverPool()
+    s = pool.solver(("prog", "profile"))
+    s.proof = []  # attached while the solver is still empty
+    assert s is pool.solver(("prog", "profile"), state1)
+    assert _check(s, state1, x.eq(T.bv_const(3, 6))) is Result.SAT
+    assert s is pool.solver(("prog", "profile"), state1 + state2)
+    assert len(s.assertions) == 2 and pool.hits == 2 and pool.misses == 1
+    both = state1 + state2
+    four, five, nine = (T.bv_const(v, 6) for v in (4, 5, 9))
+    assert _check(s, both, x.eq(four), y.eq(five)) is Result.SAT
+    assert _check(s, both, x.eq(four), y.eq(nine)) is Result.UNSAT
+    assert _check(s, both, x.eq(T.bv_const(50, 6))) is Result.UNSAT
+    assert check_proof(s.proof) == 2
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_canonical_minimal_models_identical(seed):
-    # minimal_assignment is the canonical-witness core; its output must be
-    # a pure function of the formula, bit-identical across every
-    # encoder/kernel configuration.
+    # minimal_assignment is the canonical-witness core: its output must be
+    # the lexicographic minimum, whatever the solver did on the way.
     rng = random.Random(9000 + seed)
-    width = rng.choice([4, 8])
+    width = rng.choice([3, 4])
     a = T.bv_var("ma", width)
     b = T.bv_var("mb", width)
-    formula = T.and_(
-        _random_bv(rng, 2, width).eq(b),
-        a.ult(T.bv_const((1 << width) - 2, width)),
-        (a ^ b).ne(T.bv_const(0, width)),
-    )
+    while True:
+        formula = T.and_(
+            _random_bv(rng, 2, width).eq(b),
+            a.ult(T.bv_const((1 << width) - 2, width)),
+            (a ^ b).ne(T.bv_const(0, width)),
+        )
+        if _enumerable(formula):
+            break
     variables = {
-        name: T.bv_var(name, sort.width)
+        name: T.bv_var(name, sort.width) if isinstance(sort, T.BVSort) else T.bool_var(name)
         for name, sort in T.free_variables(formula).items()
     }
-    results = {}
-    for encoder, kernel in COMBOS:
-        s = Solver(encoder=encoder, kernel=kernel)
-        results[(encoder, kernel)] = minimal_assignment(s, [formula], variables)
-    values = list(results.values())
-    assert all(v == values[0] for v in values), f"witness split: {results}"
-    if values[0] is not None:
-        assert T.evaluate(formula, values[0]) == 1
+    assert minimal_assignment(Solver(), [formula], variables) == _least_model(formula)
 
 
 class TestClauseEconomy:
-    """The structural encoder's whole point: fewer clauses, shared gates."""
+    """Absolute pins: with no second encoder to be relatively better than,
+    a clause-economy regression has to show against recorded numbers."""
 
     def test_constant_folding_collapses_eq_with_const(self):
         x = T.bv_var("fx", 32)
-        f = x.eq(T.bv_const(0xDEADBEEF, 32))
-        counts = {}
-        for encoder in ("structural", "tseitin"):
-            s = Solver(simplify_terms=False, encoder=encoder)
-            s.add(f)
-            assert s.check() is Result.SAT
-            assert s.model()["fx"] == 0xDEADBEEF
-            counts[encoder] = s.stats["cnf_clauses"]
+        s = Solver(simplify_terms=False)
+        s.add(x.eq(T.bv_const(0xDEADBEEF, 32)))
+        assert s.check() is Result.SAT
+        assert s.model()["fx"] == 0xDEADBEEF
         # Per-bit iff-with-constant folds to a (possibly negated) bit
-        # literal; the 32-way AND emits one direction only.
-        assert counts["structural"] < counts["tseitin"] / 2
+        # literal: the only variables are the 32 bits, TRUE and the AND;
+        # the only clauses TRUE's unit, AND -> each bit and the assertion.
+        assert s.stats["sat_vars"] == 34
+        assert s.stats["cnf_clauses"] == 1 + 32 + 1
 
     def test_structural_hashing_shares_repeated_gates(self):
         # `x & y` and `y & x` are *different terms* (hash-consing cannot
@@ -181,30 +194,22 @@ class TestClauseEconomy:
             (x & y).eq(T.bv_const(0x00F0, 16)),
             (y & x).ne(T.bv_const(0, 16)),
         )
-        s = Solver(simplify_terms=False, encoder="structural")
+        s = Solver(simplify_terms=False)
         s.add(f)
         assert s.check() is Result.SAT
         assert T.evaluate(f, dict(s.model())) == 1
-        assert s.stats["gates_shared"] >= 16
+        assert s.stats["gates_shared"] == 16
+        # 32 bits, TRUE, the 16 per-bit ANDs once (not twice), eq, ne, root.
+        assert s.stats["sat_vars"] == 32 + 1 + 16 + 3
 
-    def test_polarity_aware_encoding_beats_tseitin_on_goal_conjunctions(self):
-        ip = T.bv_var("ip", 32)
-        port = T.bv_var("port", 9)
-        goals = [
-            T.and_(
-                ip.extract(31, 8).eq(T.bv_const(0x0A0B00 + i, 24)),
-                port.ult(T.bv_const(16, 9)),
-            )
-            for i in range(20)
-        ]
-        counts = {}
-        for encoder in ("structural", "tseitin"):
-            s = Solver(simplify_terms=False, encoder=encoder)
-            s.add(port.ne(T.bv_const(0, 9)))
-            for g in goals:
-                assert s.check(g) is Result.SAT
-            counts[encoder] = s.stats["cnf_clauses"]
-        assert counts["structural"] < 0.7 * counts["tseitin"]
+    def test_tor_cold_generation_emits_the_recorded_cnf(self, tor_program, tor_p4info):
+        """ToR cold entry coverage with private solvers emits exactly the
+        CNF recorded when the Tseitin encoder it used to be compared with
+        was deleted (like the benchmark's pin on ``symbolic_cold``)."""
+        state = decode_state(tor_p4info, production_like_entries(tor_p4info, 80, seed=1))
+        stats = PacketGenerator(tor_program, state).generate().stats
+        pins = (stats.cnf_clauses, stats.cnf_vars, stats.gates_shared)
+        assert pins == (14897, 4081, 1672)
 
     def test_stats_surface_cnf_counters(self):
         s = Solver()
@@ -212,13 +217,5 @@ class TestClauseEconomy:
         s.add(x.eq(T.bv_const(5, 8)))
         assert s.check() is Result.SAT
         stats = s.stats
-        for key in ("cnf_clauses", "gates_shared", "db_reductions",
-                    "minimized_literals"):
-            assert key in stats
+        assert {"cnf_clauses", "gates_shared", "db_reductions", "minimized_literals"} <= set(stats)
         assert stats["cnf_clauses"] > 0
-
-    def test_invalid_flags_rejected(self):
-        with pytest.raises(ValueError):
-            Solver(encoder="nope")
-        with pytest.raises(ValueError):
-            Solver(kernel="nope")

@@ -8,6 +8,8 @@ from repro.smt import Result, Solver, bool_var, bv_const, bv_var
 from repro.smt import terms as T
 from repro.smt.sat import SatSolver, neg_lit, pos_lit
 
+from tests.rup import ProofError, check_proof
+
 
 class TestSatSolver:
     def test_trivial_sat(self):
@@ -338,13 +340,15 @@ class TestSolverProperties:
         assert s.model().evaluate(expr) == expected
 
 
-def _guarded_pigeonhole(pigeons, holes):
+def _guarded_pigeonhole(pigeons, holes, proof=None):
     """PHP(pigeons, holes) clauses guarded by one activation variable.
 
     With the guard assumed true the instance is the classic UNSAT
     pigeonhole; with it assumed false every guarded clause is satisfied
-    trivially.  Returns (solver, guard_var)."""
+    trivially.  Returns (solver, guard_var); ``proof`` is attached as the
+    solver's proof sink before the first clause."""
     s = SatSolver()
+    s.proof = proof
     g = s.new_var()
     p = [[s.new_var() for _ in range(holes)] for _ in range(pigeons)]
     for i in range(pigeons):
@@ -534,21 +538,55 @@ class TestModernKernel:
         s.add_clause([pos_lit(a), neg_lit(a)])  # tautology still counted
         assert s.clauses_received == 3
 
-    def test_legacy_kernel_agrees_on_guarded_pigeonhole(self):
-        from repro.smt.legacy_sat import LegacySatSolver
+    def test_guarded_pigeonhole_unsat_is_rup_certified(self):
+        # The refutation replayed by unit propagation alone.  Two forced DB
+        # reductions: lemmas the kernel deleted since must not matter.
+        log = []
+        s, g = _guarded_pigeonhole(7, 6, proof=log)
+        s._reduce_cap = 50.0
+        assert not s.solve([pos_lit(g)])
+        assert s.db_reductions >= 2
+        assert s.solve([neg_lit(g)])
+        assert [tag for tag, _ in log].count("l") == s.conflicts
+        assert log[-1] == ("u", (pos_lit(g),))  # the SAT answer logs nothing
+        assert check_proof(log) == 1
 
-        for cls in (SatSolver, LegacySatSolver):
-            s = cls()
-            g = s.new_var()
-            p = [[s.new_var() for _ in range(4)] for _ in range(5)]
-            for i in range(5):
-                s.add_clause([neg_lit(g)] + [pos_lit(p[i][k]) for k in range(4)])
-            for k in range(4):
-                for i in range(5):
-                    for j in range(i + 1, 5):
-                        s.add_clause([neg_lit(g), neg_lit(p[i][k]), neg_lit(p[j][k])])
-            assert not s.solve([pos_lit(g)])
-            assert s.solve([neg_lit(g)])
+
+class TestProofChecker:
+    """Negative controls for ``tests/rup.py``: each log below must be
+    rejected, so a checker that accepts everything fails here."""
+
+    def test_false_unsat_claim_is_rejected(self):
+        log = []
+        s, g = _guarded_pigeonhole(5, 4, proof=log)
+        assert not s.solve([pos_lit(g)])
+        assert s.solve([neg_lit(g)])
+        assert check_proof(log) == 1
+        with pytest.raises(ProofError, match="'u'"):
+            check_proof([*log, ("u", (neg_lit(g),))])
+
+    def test_log_with_half_its_lemmas_removed_is_rejected(self):
+        log = []
+        s, g = _guarded_pigeonhole(7, 6, proof=log)
+        assert not s.solve([pos_lit(g)])
+        lemmas = [i for i, (tag, _) in enumerate(log) if tag == "l"]
+        dropped = set(lemmas[::2])
+        with pytest.raises(ProofError):
+            check_proof([step for i, step in enumerate(log) if i not in dropped])
+
+    def test_learned_clause_missing_a_literal_is_rejected(self, monkeypatch):
+        analyze = SatSolver._analyze
+
+        def lossy(self, conflict):
+            learned, backjump, lbd = analyze(self, conflict)
+            return learned[: max(2, len(learned) - 1)], backjump, lbd
+
+        monkeypatch.setattr(SatSolver, "_analyze", lossy)
+        log = []
+        s, g = _guarded_pigeonhole(7, 6, proof=log)
+        s.solve([pos_lit(g)])  # whatever it answers, the log must not check
+        with pytest.raises(ProofError, match="'l'"):
+            check_proof(log)
 
 
 class TestSolverPool:
