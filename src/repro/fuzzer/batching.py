@@ -1,32 +1,57 @@
 """Dependency-respecting batch assembly (§4.4).
 
 A single Write RPC's updates may execute in any order, so a batch must
-contain only independent updates: no update may reference a value exported
-by another update in the same batch, touch the same entry identity, or
-delete something a sibling references.  The batcher analyses @refers_to
-edges (via :class:`ReferenceGraph`) and greedily packs updates into the
-earliest compatible batch — the same mechanism the paper uses for control
-plane testing, for installing data-plane test state, and in the controller.
+contain only independent updates: no two may touch the same entry identity,
+and none may reference a value another exports (the insert must land in an
+earlier batch than its referrer, the delete in a later one).
+
+Each update is decoded once into a :class:`Footprint`.  The invariant:
+**a batch's footprint is the union of its members'; joining is legal iff
+key ∉ keys and demands/exports are cross-disjoint** — the pairwise rule
+(:func:`verify_batch_independence`) quantified over the batch, at one
+decode per update instead of one per pair.  The same mechanism serves
+control plane testing, installing data-plane test state, the controller,
+and the pipelined scheduler's in-flight windows.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.p4.constraints.refs import ReferenceGraph
+from repro.p4.constraints.refs import AvailableState, ReferenceGraph
 from repro.p4.p4info import P4Info
 from repro.p4rt.messages import Update
 
 
-def _conflicts(refs: ReferenceGraph, a: Update, b: Update) -> bool:
-    """Whether two updates may not share a batch."""
-    if a.entry.match_key() == b.entry.match_key():
-        return True  # same entry identity: order matters
-    # a references a value exported by b (or vice versa): the insert must
-    # land in an earlier batch than the referrer, the delete in a later one.
-    if refs.depends_on(a.entry, b.entry) or refs.depends_on(b.entry, a.entry):
-        return True
-    return False
+class Footprint:
+    """What ``updates`` (each decoded exactly once) touch: their entry
+    identities and the ``(table, key, value)`` pairs they export and demand
+    through @refers_to edges.  Grows by :meth:`absorb`, never shrinks."""
+
+    def __init__(
+        self, refs: Optional[ReferenceGraph] = None, updates: Iterable[Update] = ()
+    ) -> None:
+        self.keys = set()  # entry identities
+        self.exports = set()  # (table, key, value) made referenceable
+        self.demands = set()  # (table, key, value) referenced
+        for update in updates:
+            self.keys.add(update.entry.match_key())
+            self.exports.update(refs.exported_values(update.entry))
+            for ref in refs.references_of(update.entry):
+                self.demands.update((ref.target_table, *pair) for pair in ref.pairs)
+
+    def conflicts(self, other: "Footprint") -> bool:
+        """Whether some update here may not share a batch with one there."""
+        return not (
+            self.keys.isdisjoint(other.keys)
+            and self.demands.isdisjoint(other.exports)
+            and self.exports.isdisjoint(other.demands)
+        )
+
+    def absorb(self, other: "Footprint") -> None:
+        self.keys |= other.keys
+        self.exports |= other.exports
+        self.demands |= other.demands
 
 
 def make_batches(
@@ -40,32 +65,22 @@ def make_batches(
     """
     refs = ReferenceGraph(p4info)
     batches: List[List[Update]] = []
+    footprints: List[Footprint] = []
     for update in updates:
-        placed = False
-        # A batch is eligible only if the update conflicts with nothing in
-        # it AND nothing in any *later* batch conflicts... since we append
-        # in generation order, it suffices to scan from the last batch
-        # backwards and stop at the first conflict.
-        for index in range(len(batches) - 1, -1, -1):
-            batch = batches[index]
-            if any(_conflicts(refs, update, other) for other in batch):
-                # Must go strictly after this batch.
-                target = index + 1
-                placed = True
-                break
-        else:
-            target = 0
-            placed = True
-        while True:
-            if target == len(batches):
-                batches.append([update])
-                break
-            if len(batches[target]) < max_batch_size and not any(
-                _conflicts(refs, update, other) for other in batches[target]
-            ):
-                batches[target].append(update)
-                break
+        footprint = Footprint(refs, (update,))
+        # The update must go strictly after the last batch it conflicts
+        # with; every later batch is compatible, so only size is left to
+        # check from there on.
+        target = len(batches)
+        while target and not footprint.conflicts(footprints[target - 1]):
+            target -= 1
+        while target < len(batches) and len(batches[target]) >= max_batch_size:
             target += 1
+        if target == len(batches):
+            batches.append([])
+            footprints.append(Footprint())
+        batches[target].append(update)
+        footprints[target].absorb(footprint)
     return batches
 
 
@@ -79,21 +94,18 @@ def order_inserts(p4info: P4Info, updates: Sequence[Update]) -> List[Update]:
     appended in the original order.
     """
     refs = ReferenceGraph(p4info)
-    remaining = list(updates)
+    remaining = [(update, refs.references_of(update.entry)) for update in updates]
     ordered: List[Update] = []
-    available = refs.collect_state(())
+    available = AvailableState()
     while remaining:
-        progress = []
-        stuck = []
-        for update in remaining:
-            if refs.dangling_references(update.entry, available):
-                stuck.append(update)
-            else:
-                progress.append(update)
-        if not progress:
-            ordered.extend(stuck)  # cycle or genuinely dangling: keep order
+        progress, stuck = [], []
+        for update, references in remaining:
+            satisfied = all(map(available.satisfies, references))
+            (progress if satisfied else stuck).append((update, references))
+        if not progress:  # cycle or genuinely dangling: keep order
+            ordered.extend(update for update, _ in stuck)
             break
-        for update in progress:
+        for update, _ in progress:
             ordered.append(update)
             exported = refs.exported_keyset(update.entry)
             if exported is not None:
@@ -103,10 +115,13 @@ def order_inserts(p4info: P4Info, updates: Sequence[Update]) -> List[Update]:
 
 
 def verify_batch_independence(p4info: P4Info, batch: Sequence[Update]) -> bool:
-    """Check a batch contains no dependent pair (used by tests)."""
+    """Check a batch contains no dependent pair — the pairwise definition
+    :class:`Footprint` is the batched form of (used by tests)."""
     refs = ReferenceGraph(p4info)
     return not any(
-        _conflicts(refs, a, b)
+        a.entry.match_key() == b.entry.match_key()
+        or refs.depends_on(a.entry, b.entry)
+        or refs.depends_on(b.entry, a.entry)
         for i, a in enumerate(batch)
         for b in batch[i + 1 :]
     )

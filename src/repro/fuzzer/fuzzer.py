@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.fuzzer.batching import make_batches
+from repro.fuzzer.batching import Footprint, make_batches
 from repro.fuzzer.feedback import CoverageProgress, CoverageTracker
 from repro.fuzzer.generator import RequestGenerator
 from repro.fuzzer.mutations import MUST_REJECT, apply_random_mutation
@@ -515,7 +515,9 @@ class P4Fuzzer:
                 )
                 result.writes_sent += len(batches)
                 wave_index = next_wave - 1
-                queue.extend((wave_index, batch) for batch in batches)
+                queue.extend(
+                    (wave_index, batch, scheduler.footprint(batch)) for batch in batches
+                )
 
         try:
             while True:
@@ -528,26 +530,23 @@ class P4Fuzzer:
                 # batch it would overtake (conflicting batches are never
                 # reordered relative to each other, so dependent writes
                 # still observe their predecessors' effects).  Skipped
-                # batches keep their queue position for a later window.
-                window = [queue.pop(0)]
-                in_flight = [batch for _, batch in window]
-                skipped: List[List[Update]] = []
-                index = 0
+                # batches keep their queue position for a later window;
+                # `ahead` is the joint footprint of both groups.
+                window, ahead, index = [], Footprint(), 0
                 while len(window) < depth and index < len(queue):
-                    candidate = queue[index][1]
-                    if scheduler.conflicts(
-                        in_flight, candidate
-                    ) or scheduler.conflicts(skipped, candidate):
+                    footprint = queue[index][2]
+                    if ahead.conflicts(footprint):
                         scheduler.stats.conflict_stalls += 1
-                        skipped.append(candidate)
                         index += 1
-                        continue
-                    window.append(queue.pop(index))
-                    in_flight.append(candidate)
+                    else:
+                        window.append(queue.pop(index))
+                    ahead.absorb(footprint)
                 hook = refill if overlap else None
-                outcomes = scheduler.send_window(in_flight, while_in_flight=hook)
+                outcomes = scheduler.send_window(
+                    [batch for _, batch, _ in window], while_in_flight=hook
+                )
                 self._judge_window(
-                    outcomes, max(wave for wave, _ in window), result, scheduler
+                    outcomes, max(wave for wave, _, _ in window), result, scheduler
                 )
         finally:
             scheduler.close()

@@ -71,12 +71,6 @@ class GeneratorState:
         self.entries = {e.match_key(): e for e in entries}
         self.version += 1
 
-    def in_table(self, table_id: int) -> List[TableEntry]:
-        return [e for e in self.entries.values() if e.table_id == table_id]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class RequestGenerator:
     """Generates syntactically valid updates for a P4Info catalogue."""
@@ -231,22 +225,9 @@ class RequestGenerator:
 
     def _references_satisfiable(self, table: TableInfo) -> bool:
         available = self._available()
-        for mf in table.match_fields:
-            target = self.refs.edges.get((table.name, mf.name))
-            if target and not self._referenced_values(*target):
-                return False
-        for aid in table.action_ids:
-            action = self.p4info.actions[aid]
-            for target_table, pairs in self.refs.action_reference_groups(
-                action.name
-            ).items():
-                demanded_keys = {key for _param, key in pairs}
-                if not any(
-                    demanded_keys <= {k for k, _v in keyset}
-                    for keyset in available.keysets(target_table)
-                ):
-                    return False
-        return True
+        return all(
+            available.provides_keys(*demand) for demand in self.refs.demanded_keys[table.name]
+        )
 
     def _referenced_values(self, target_table: str, target_key: str) -> List[int]:
         values: List[int] = []

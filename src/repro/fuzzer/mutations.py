@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.p4.ast import MatchKind
-from repro.p4.constraints.refs import ReferenceGraph
 from repro.p4.p4info import P4Info
 from repro.p4rt import codec
 from repro.p4rt.messages import (
@@ -237,7 +236,6 @@ def invalid_table_implementation(rng, p4info, update):
 @_mutation("invalid_reference")
 def invalid_reference(rng, p4info, update):
     """Point a @refers_to field/param at a non-existent value (§4.4)."""
-    refs = ReferenceGraph(p4info)
     entry = update.entry
     table = p4info.tables.get(entry.table_id)
     if table is None:
@@ -247,7 +245,7 @@ def invalid_reference(rng, p4info, update):
         mf = table.match_field_by_id(clause.field_id)
         if mf is None:
             continue
-        if (table.name, mf.name) in refs.edges:
+        if (table.name, mf.name) in p4info.references:
             bogus = (1 << mf.bitwidth) - 1 - rng.randint(0, 7)
             matches = list(entry.matches)
             matches[index] = replace(clause, value=codec.encode(bogus, mf.bitwidth))

@@ -13,9 +13,9 @@ read-back can say.
 :class:`WriteScheduler` turns that guarantee into throughput:
 
 * **Windows.**  Consecutive batches are grouped into windows of up to
-  ``depth`` batches.  A batch that conflicts with any batch already in the
-  window (same ``_conflicts`` predicate the batcher uses) closes the
-  window early — dependent writes are never concurrently in flight.
+  ``depth`` batches.  A batch whose footprint conflicts with the window's
+  (the same :class:`~repro.fuzzer.batching.Footprint` rule the batcher
+  packs by) closes it early — dependent writes are never both in flight.
 * **In-flight writes.**  Every batch of a window is submitted to a small
   thread pool; the caller can overlap next-wave generation with the
   drain.  Under the default *strict order* mode a turnstile admits the
@@ -50,7 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.fuzzer.batching import _conflicts
+from repro.fuzzer.batching import Footprint
 from repro.p4.constraints.refs import ReferenceGraph
 from repro.p4.p4info import P4Info
 from repro.p4rt.messages import Update, WriteRequest, WriteResponse
@@ -152,19 +152,18 @@ class WriteScheduler:
     # ------------------------------------------------------------------
     # Window planning
     # ------------------------------------------------------------------
+    def footprint(self, *batches: Sequence[Update]) -> Footprint:
+        """The joint footprint of ``batches`` (each update decoded once)."""
+        return Footprint(self._refs, (u for batch in batches for u in batch))
+
     def conflicts(self, window: Sequence[List[Update]], batch: List[Update]) -> bool:
         """May `batch` fly concurrently with the batches in `window`?
 
         True when any in-flight update shares entry identity or a
         ``@refers_to`` edge with any update of the candidate batch — the
-        same predicate make_batches uses within a batch.
+        same rule make_batches applies within a batch.
         """
-        return any(
-            _conflicts(self._refs, a, b)
-            for other in window
-            for a in other
-            for b in batch
-        )
+        return self.footprint(*window).conflicts(self.footprint(batch))
 
     def plan_windows(self, batches: Sequence[List[Update]]) -> List[List[List[Update]]]:
         """Split a wave's batches into in-flight windows.

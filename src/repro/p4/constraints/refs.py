@@ -67,6 +67,8 @@ class AvailableState:
     the pair) makes :meth:`satisfies` cost proportional to the *demand*,
     not to the number of installed keysets — the difference between O(1)
     and O(N) per referential-integrity check at production table sizes.
+    A per-table index of key-name *shapes* does the same for
+    :meth:`provides_keys`.
     """
 
     def __init__(self) -> None:
@@ -74,12 +76,18 @@ class AvailableState:
         # (table, (key, value)) -> keysets currently available that contain
         # the pair.  Maintained only on 0<->1 refcount transitions.
         self._by_pair: Dict[Tuple[str, Tuple[str, int]], Set[KeySet]] = {}
+        # table -> key-name shape -> distinct available keysets of that
+        # shape.  Same transitions as _by_pair.
+        self._shapes: Dict[str, Dict[FrozenSet[str], int]] = {}
 
     def add(self, table: str, keyset: KeySet) -> None:
         counts = self._by_table.setdefault(table, {})
         count = counts.get(keyset, 0)
         counts[keyset] = count + 1
         if count == 0:
+            shapes = self._shapes.setdefault(table, {})
+            shape = frozenset(key for key, _value in keyset)
+            shapes[shape] = shapes.get(shape, 0) + 1
             for pair in keyset:
                 self._by_pair.setdefault((table, pair), set()).add(keyset)
 
@@ -90,6 +98,11 @@ class AvailableState:
         counts[keyset] -= 1
         if counts[keyset] <= 0:
             del counts[keyset]
+            shapes = self._shapes[table]
+            shape = frozenset(key for key, _value in keyset)
+            shapes[shape] -= 1
+            if not shapes[shape]:
+                del shapes[shape]
             for pair in keyset:
                 holders = self._by_pair.get((table, pair))
                 if holders is not None:
@@ -122,6 +135,10 @@ class AvailableState:
             self.satisfying_keysets(reference.target_table, reference.pairs)
         )
 
+    def provides_keys(self, table: str, keys: FrozenSet[str]) -> bool:
+        """Whether some available keyset of ``table`` carries all of ``keys``."""
+        return any(keys <= shape for shape in self._shapes.get(table, ()))
+
     def keysets(self, table: str) -> List[KeySet]:
         # Canonical order: dict iteration depends on insertion history, and
         # consumers feed these into seeded random choices — determinism of
@@ -132,6 +149,7 @@ class AvailableState:
         clone = AvailableState()
         clone._by_table = {t: dict(c) for t, c in self._by_table.items()}
         clone._by_pair = {pair: set(ks) for pair, ks in self._by_pair.items()}
+        clone._shapes = {t: dict(c) for t, c in self._shapes.items()}
         return clone
 
     def __contains__(self, item: Tuple[str, str, int]) -> bool:
@@ -159,36 +177,30 @@ class ReferenceGraph:
                     groups.setdefault(table, []).append((param.name, key))
             if groups:
                 self._action_edges[action.name] = groups
-
-    @property
-    def edges(self) -> Dict[Tuple[str, str], Tuple[str, str]]:
-        """All reference edges, one representative target per source."""
-        out = dict(self._key_edges)
+        # All reference edges, one representative target per source.
+        self.edges: Dict[Tuple[str, str], Tuple[str, str]] = dict(self._key_edges)
         for action_name, groups in self._action_edges.items():
             for table, pairs in groups.items():
                 for param_name, key in pairs:
-                    out[(action_name, param_name)] = (table, key)
-        return out
+                    self.edges[(action_name, param_name)] = (table, key)
+        # table name -> [(target table, key names)] an entry of the table
+        # must find installed: one per referring match key, one per
+        # composite of each permitted action.
+        self.demanded_keys: Dict[str, List[Tuple[str, FrozenSet[str]]]] = {
+            info.name: [] for info in p4info.tables.values()
+        }
+        for (source, _field), (table, key) in self._key_edges.items():
+            self.demanded_keys[source].append((table, frozenset((key,))))
+        for info in p4info.tables.values():
+            for aid in info.action_ids:
+                groups = self._action_edges.get(p4info.actions[aid].name, {})
+                for table, pairs in groups.items():
+                    keys = frozenset(key for _param, key in pairs)
+                    self.demanded_keys[info.name].append((table, keys))
 
     def action_reference_groups(self, action_name: str) -> Dict[str, List[Tuple[str, str]]]:
         """target table -> [(param name, target key)] for one action."""
         return {t: list(pairs) for t, pairs in self._action_edges.get(action_name, {}).items()}
-
-    def targets_of_table(self, table_name: str) -> List[Tuple[str, str]]:
-        """Tables/keys that entries of ``table_name`` may reference."""
-        info = self._p4info.table_by_name(table_name)
-        if info is None:
-            return []
-        out: List[Tuple[str, str]] = [
-            target
-            for (source, _field), target in self._key_edges.items()
-            if source == table_name
-        ]
-        for aid in info.action_ids:
-            action = self._p4info.actions[aid]
-            for table, pairs in self._action_edges.get(action.name, {}).items():
-                out.extend((table, key) for _param, key in pairs)
-        return out
 
     def is_referenced_table(self, table_name: str) -> bool:
         """Whether any edge points *at* this table."""
@@ -317,10 +329,6 @@ class ReferenceGraph:
         return [
             ref for ref in self.references_of(entry) if not available.satisfies(ref)
         ]
-
-    def build_index(self) -> "ReferenceIndex":
-        """An empty incremental integrity index over this graph."""
-        return ReferenceIndex(self)
 
     def depends_on(self, entry: TableEntry, other: TableEntry) -> bool:
         """Whether ``entry`` references a keyset exported by ``other``.
