@@ -41,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import time
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.p4.ast import P4Program
 from repro.p4.constraints.lang import (

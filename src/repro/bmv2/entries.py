@@ -13,6 +13,7 @@ detectable bug — in either side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.p4.ast import MatchKind
@@ -84,11 +85,14 @@ class InstalledEntry:
     action: Union[DecodedAction, DecodedActionSet]
     priority: int = 0
 
+    @cached_property
+    def matches_by_key(self) -> Dict[str, DecodedMatch]:
+        """``match`` as a mapping, for the per-packet loops; built on first use,
+        so only entries a packet actually probes pay for it."""
+        return {m.key_name: m for m in reversed(self.matches)}
+
     def match(self, key_name: str) -> Optional[DecodedMatch]:
-        for m in self.matches:
-            if m.key_name == key_name:
-                return m
-        return None
+        return next((m for m in self.matches if m.key_name == key_name), None)
 
     def key_values(self) -> Dict[str, KeyValue]:
         return {m.key_name: m.to_key_value() for m in self.matches}

@@ -17,16 +17,16 @@ Verdict identity is structural, not hoped-for: the buckets are *sound
 over-approximations* (an entry the linear scan would match is always in
 the probed buckets — absent clauses are wildcards, and any entry whose
 shape does not fit its table's scheme goes to a residual list that is
-always scanned), and every candidate is re-verified with the interpreter's
-own match predicate before selection.  Candidates come back sorted by
-installation order, so priority ties, LPM tie-breaks, and first-candidate
-selection behave bit-identically to the linear scan — including under the
-seeded simulator faults, whose predicates only ever *shrink* the match set.
+always scanned), and the interpreter re-verifies every candidate with its
+own match predicate, then sorts the survivors by installation order — so
+priority ties, LPM tie-breaks, and first-candidate selection behave
+bit-identically to the linear scan, including under the seeded simulator
+faults, whose predicates only ever *shrink* the match set.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bmv2.entries import InstalledEntry
 from repro.p4 import ast
@@ -47,8 +47,7 @@ class TableIndex:
         self._exact_keys: Tuple[str, ...] = tuple(
             k.key_name for k in table.keys if k.kind is ast.MatchKind.EXACT
         )
-        lpm_keys = [k.key_name for k in table.keys if k.kind is ast.MatchKind.LPM]
-        self._lpm_key: Optional[str] = lpm_keys[0] if lpm_keys else None
+        self._lpm_key: Optional[str] = table.lpm_key_name
         self._priority = table.requires_priority
         # Priority tables: signature (sorted (key, mask-or-None) of present
         # clauses) -> masked-value tuple -> candidates.
@@ -99,12 +98,9 @@ class TableIndex:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def candidates(
-        self,
-        fields: Mapping[str, int],
-        predicate: Callable[[InstalledEntry], bool],
-    ) -> List[Candidate]:
-        """All entries matching the packet, verified and in install order."""
+    def probe(self, fields: Mapping[str, int]) -> List[Candidate]:
+        """Every entry that can match the packet, in no particular order (the
+        caller verifies each and restores installation order)."""
         raw: List[Candidate] = []
         if self._priority:
             for signature, buckets in self._tuple_space.items():
@@ -138,11 +134,8 @@ class TableIndex:
             hit = self._exact.get(values)
             if hit:
                 raw.extend(hit)
-        if self._residual:
-            raw.extend(self._residual)
-        out = [item for item in raw if predicate(item[1])]
-        out.sort(key=lambda item: item[0])
-        return out
+        raw.extend(self._residual)
+        return raw
 
     # ------------------------------------------------------------------
     # Bucketing

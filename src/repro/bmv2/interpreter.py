@@ -20,11 +20,12 @@ provider mimics a concrete ASIC hash.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.bmv2.entries import DecodedAction, DecodedActionSet, InstalledEntry
+from repro.bmv2.entries import DecodedActionSet, InstalledEntry
 from repro.bmv2.index import TableIndex
 from repro.bmv2.packet import Packet
 from repro.p4 import ast
@@ -119,26 +120,17 @@ class SeededHash(HashProvider):
         field_widths: Optional[Mapping[str, int]] = None,
     ) -> None:
         self.seed = seed
-        self.fields = tuple(fields) or (
-            "ipv4.src_addr",
-            "ipv4.dst_addr",
-            "ipv4.protocol",
-            "ipv6.src_addr",
-            "ipv6.dst_addr",
-        )
+        self.fields = tuple(fields) or tuple(self.DEFAULT_WIDTHS)
         self.field_widths: Dict[str, int] = dict(self.DEFAULT_WIDTHS)
         if field_widths:
             self.field_widths.update(field_widths)
 
-    def bind_widths(self, width_of) -> None:
-        """Fill in missing field widths from a program's declarations."""
+    def bind_widths(self, widths: Mapping[str, int]) -> None:
+        """Fill in missing field widths from a program's declarations (a
+        field unknown to the program keeps the length-prefixed fallback)."""
         for name in self.fields:
-            if name in self.field_widths:
-                continue
-            try:
-                self.field_widths[name] = width_of(name)
-            except KeyError:
-                continue  # unknown to this program: length-prefixed fallback
+            if name not in self.field_widths and name in widths:
+                self.field_widths[name] = widths[name]
 
     def _digest(self, packet_fields: Mapping[str, int]) -> int:
         material = bytearray(self.seed.to_bytes(4, "big"))
@@ -185,9 +177,12 @@ class ExecutionTrace:
     table_hits: List[Tuple[str, Optional[Tuple], str]] = dc_field(default_factory=list)
     # (branch label, taken?)
     branches: List[Tuple[str, bool]] = dc_field(default_factory=list)
-
-    def entries_hit(self) -> List[Tuple[str, Tuple]]:
-        return [(t, e) for t, e, _a in self.table_hits if e is not None]
+    # How often the run consulted what the model leaves open: the hash
+    # provider (a selector with several members, a black-box hash value)
+    # or the tie-break round (a priority tie between several candidates).
+    # A run that never asked is the same for every provider / every round.
+    hash_choices: int = 0
+    tie_choices: int = 0
 
 
 @dataclass
@@ -235,9 +230,34 @@ class PacketResult:
 
 TableState = Mapping[str, Sequence[InstalledEntry]]
 
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_WRAPPING = {"+": operator.add, "-": operator.sub}
+_BITWISE = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
+
+
+class _Run(NamedTuple):
+    """One interpretation: its (mutable) packet state and what was asked of it."""
+
+    fields: Dict[str, int]
+    valid: Set[str]
+    trace: ExecutionTrace
+    hash_provider: HashProvider
+    tie_break_round: int
+
 
 class Interpreter:
     """Executes a P4 program on packets against a table state.
+
+    One instance serves any number of packets: what derives from the
+    program comes from its :attr:`~repro.p4.ast.P4Program.plan`, what varies
+    per packet (hash provider, tie-break round) is an argument of :meth:`run`.
 
     The two boolean knobs reproduce real BMv2 defects from the paper's
     Cerberus campaign (Table 1 lists 4 simulator bugs); they are only ever
@@ -256,140 +276,140 @@ class Interpreter:
         self,
         program: P4Program,
         state: TableState,
-        hash_provider: Optional[HashProvider] = None,
         optional_absent_matches_zero: bool = False,
         lpm_shortest_prefix_wins: bool = False,
-        tie_break_round: int = 0,
         table_indices: Optional[Mapping[str, "TableIndex"]] = None,
-        index_cache: Optional[Dict[str, Tuple[Sequence[InstalledEntry], "TableIndex"]]] = None,
     ) -> None:
         self.program = program
         self.state = state
-        self.hash_provider = hash_provider or SeededHash()
-        if isinstance(self.hash_provider, SeededHash):
-            self.hash_provider.bind_widths(program.field_width)
         self.optional_absent_matches_zero = optional_absent_matches_zero
         self.lpm_shortest_prefix_wins = lpm_shortest_prefix_wins
-        # Among same-priority candidates the P4Runtime spec does not fix a
-        # winner, and real switches reorder ties when entries are modified
-        # (remove + re-add in the agent).  The behaviour-set enumeration
-        # rotates this index to visit every tied candidate.
-        self.tie_break_round = tie_break_round
-        self._tables_by_name = {t.name: t for t in program.tables()}
-        # Externally maintained indices (e.g. a switch's persistent state)
-        # take precedence; otherwise large tables get a lazily built index,
-        # shareable across interpreter instances via ``index_cache`` (the
-        # behaviour-set enumeration runs many rounds over one fixed state).
-        self._table_indices = dict(table_indices) if table_indices else {}
-        self._index_cache = index_cache if index_cache is not None else {}
+        self._plan = program.plan
+        # Externally maintained indices (a switch's persistent state, read
+        # live between packets) take precedence; otherwise large tables get
+        # a lazily built index, valid while the state holds the same list.
+        self._table_indices = table_indices if table_indices is not None else {}
+        self._index_cache: Dict[str, Tuple[Sequence[InstalledEntry], TableIndex]] = {}
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
-    def run(self, packet: Packet, ingress_port: int) -> PacketResult:
-        fields: Dict[str, int] = {path: 0 for path in self.program.all_field_paths()}
+    def run(
+        self,
+        packet: Packet,
+        ingress_port: int,
+        hash_provider: Optional[HashProvider] = None,
+        tie_break_round: int = 0,
+    ) -> PacketResult:
+        """Interpret one packet (which is read, never modified).
+
+        Among same-priority candidates the P4Runtime spec fixes no winner,
+        and real switches reorder ties when entries are modified (remove +
+        re-add in the agent): ``tie_break_round`` picks the tied candidate,
+        so the behaviour-set enumeration can visit them all.
+        """
+        hash_provider = hash_provider or SeededHash()
+        if isinstance(hash_provider, SeededHash):
+            hash_provider.bind_widths(self._plan.widths)
+        fields = dict(self._plan.zero_fields)
         fields.update(packet.fields)
         fields["standard.ingress_port"] = ingress_port
         valid = set(packet.valid_headers)
-        trace = ExecutionTrace()
+        run = _Run(fields, valid, ExecutionTrace(), hash_provider, tie_break_round)
 
-        self._run_block(self.program.ingress, fields, valid, trace)
+        self._run_block(self.program.ingress, run)
         dropped = bool(fields.get("standard.drop"))
         if not dropped:
-            self._run_block(self.program.egress, fields, valid, trace)
+            self._run_block(self.program.egress, run)
             dropped = bool(fields.get("standard.drop"))
 
-        out_packet = Packet(
-            fields={
-                path: value
-                for path, value in fields.items()
-                if "." in path and path.split(".", 1)[0] in valid
-            },
-            valid_headers=valid,
-            payload=packet.payload,
-        )
-        punted = bool(fields.get("standard.punt"))
-        egress: Optional[int] = None
-        if not dropped:
-            egress = fields.get("standard.egress_port", 0)
-            if egress == 0:
-                # No forwarding decision was made: the model drops.
-                egress = None
-        mirror_copies: List[Tuple[int, Packet]] = []
+        header_of = self._plan.header_of
+        out_fields = {}
+        for path, value in fields.items():
+            header = header_of.get(path)
+            if header is None and "." in path:
+                header = path.split(".", 1)[0]  # a field the program does not declare
+            if header in valid:
+                out_fields[path] = value
+        out_packet = Packet(fields=out_fields, valid_headers=valid, payload=packet.payload)
+        # Port 0: no forwarding decision was made, the model drops.
+        egress = None if dropped else fields.get("standard.egress_port") or None
         mirror_port = fields.get("standard.mirror_port", 0)
-        if mirror_port:
-            mirror_copies.append((mirror_port, out_packet.copy()))
         return PacketResult(
             packet=out_packet,
             egress_port=egress,
-            punted=punted,
-            mirror_copies=mirror_copies,
-            trace=trace,
+            punted=bool(fields.get("standard.punt")),
+            mirror_copies=[(mirror_port, out_packet.copy())] if mirror_port else [],
+            trace=run.trace,
         )
 
     # ------------------------------------------------------------------
     # Control flow
     # ------------------------------------------------------------------
-    def _run_block(self, block: Seq, fields, valid, trace) -> None:
+    def _run_block(self, block: Seq, run: _Run) -> None:
         for node in block:
             if isinstance(node, TableApply):
-                self._apply_table(node.table, fields, valid, trace)
+                self._apply_table(node.table, run)
             elif isinstance(node, If):
-                taken = self._eval_bool(node.cond, fields, valid)
-                trace.branches.append((node.label or repr(node.cond), taken))
-                self._run_block(node.then_block if taken else node.else_block, fields, valid, trace)
+                taken = self._eval_bool(node.cond, run)
+                run.trace.branches.append((node.label or repr(node.cond), taken))
+                self._run_block(node.then_block if taken else node.else_block, run)
             elif isinstance(node, Statement):
-                self._execute_statement(node, fields, valid, params={})
+                self._execute_statement(node, run, params={})
             else:  # pragma: no cover - defensive
                 raise InterpreterError(f"unknown control node {node!r}")
 
     # ------------------------------------------------------------------
     # Table application
     # ------------------------------------------------------------------
-    def _apply_table(self, table: Table, fields, valid, trace) -> None:
-        entries = self.state.get(table.name, ())
-        winner = self._match(table, entries, fields)
+    def _apply_table(self, table: Table, run: _Run) -> None:
+        winner = self._match(table, self.state.get(table.name, ()), run)
+        trace = run.trace
         if winner is None:
             trace.table_hits.append((table.name, None, table.default_action.name))
-            self._execute_action_body(table.default_action.body, fields, valid, params={})
+            self._execute_action_body(table.default_action.body, run, params={})
             return
         action = winner.action
         if isinstance(action, DecodedActionSet):
             weights = [weight for _member, weight in action.members]
-            index = self.hash_provider.select_weighted(
-                f"selector:{table.name}", fields, weights
+            if len(weights) > 1:
+                trace.hash_choices += 1
+            index = run.hash_provider.select_weighted(
+                f"selector:{table.name}", run.fields, weights
             )
-            chosen, _weight = action.members[index]
-            trace.table_hits.append((table.name, winner.identity(), chosen.name))
-            self._invoke_named_action(table, chosen, fields, valid)
-        else:
-            trace.table_hits.append((table.name, winner.identity(), action.name))
-            self._invoke_named_action(table, action, fields, valid)
+            action, _weight = action.members[index]
+        trace.table_hits.append((table.name, winner.identity(), action.name))
+        declared = table.actions_by_name.get(action.name)
+        if declared is None:
+            raise InterpreterError(
+                f"entry in {table.name} references unknown action {action.name}"
+            )
+        self._execute_action_body(declared.body, run, params=action.param_map())
 
     def _match(
-        self, table: Table, entries: Sequence[InstalledEntry], fields
+        self, table: Table, entries: Sequence[InstalledEntry], run: _Run
     ) -> Optional[InstalledEntry]:
-        candidates = self._candidates(table, entries, fields)
+        candidates = self._candidates(table, entries, run.fields)
         if not candidates:
             return None
         if table.requires_priority:
             # Highest priority wins; equal-priority ties are under-specified
-            # (see tie_break_round) — rotate among the tied candidates.
+            # (see ``run``) — rotate among the tied candidates.
             top = max(entry.priority for _order, entry in candidates)
             tied = [entry for _order, entry in candidates if entry.priority == top]
-            return tied[self.tie_break_round % len(tied)]
-        lpm_keys = [k.key_name for k in table.keys if k.kind is ast.MatchKind.LPM]
-        if lpm_keys:
-            key_name = lpm_keys[0]
+            if len(tied) > 1:
+                run.trace.tie_choices += 1
+            return tied[run.tie_break_round % len(tied)]
+        key_name = table.lpm_key_name
+        if key_name is not None:
+            sign = -1 if self.lpm_shortest_prefix_wins else 1  # seeded simulator bug
 
-            def prefix_of(entry: InstalledEntry) -> int:
-                m = entry.match(key_name)
+            def rank(item: Tuple[int, InstalledEntry]) -> Tuple[int, int]:
+                m = item[1].matches_by_key.get(key_name)
                 length = m.prefix_len if m is not None and m.present else -1
-                if self.lpm_shortest_prefix_wins:
-                    return -length  # seeded simulator bug: inverted order
-                return length
+                return (sign * length, -item[0])
 
-            return max(candidates, key=lambda item: (prefix_of(item[1]), -item[0]))[1]
+            return max(candidates, key=rank)[1]
         return candidates[0][1]
 
     def _candidates(
@@ -404,19 +424,13 @@ class Interpreter:
         decision — is identical entry-for-entry.
         """
         index = self._index_for(table, entries)
+        pool = enumerate(entries) if index is None else index.probe(fields)
+        found = [item for item in pool if self._entry_matches(table, item[1], fields)]
         if index is not None:
-            return index.candidates(
-                fields, lambda entry: self._entry_matches(table, entry, fields)
-            )
-        return [
-            (order, entry)
-            for order, entry in enumerate(entries)
-            if self._entry_matches(table, entry, fields)
-        ]
+            found.sort(key=operator.itemgetter(0))
+        return found
 
-    def _index_for(
-        self, table: Table, entries: Sequence[InstalledEntry]
-    ) -> Optional[TableIndex]:
+    def _index_for(self, table: Table, entries: Sequence[InstalledEntry]) -> Optional[TableIndex]:
         index = self._table_indices.get(table.name)
         if index is not None:
             return index
@@ -430,17 +444,18 @@ class Interpreter:
         return index
 
     def _entry_matches(self, table: Table, entry: InstalledEntry, fields) -> bool:
-        for key in table.keys:
-            m = entry.match(key.key_name)
+        by_key = entry.matches_by_key
+        for key_name, path, kind in table.match_plan:
+            m = by_key.get(key_name)
             if m is None or not m.present:
                 if (
                     self.optional_absent_matches_zero
-                    and key.kind is ast.MatchKind.OPTIONAL
-                    and fields.get(key.field.path, 0) != 0
+                    and kind is ast.MatchKind.OPTIONAL
+                    and fields.get(path, 0) != 0
                 ):
                     return False  # seeded simulator bug
                 continue  # wildcard
-            value = fields.get(key.field.path, 0)
+            value = fields.get(path, 0)
             if m.mask:
                 if (value & m.mask) != (m.value & m.mask):
                     return False
@@ -448,89 +463,65 @@ class Interpreter:
                 return False
         return True
 
-    def _invoke_named_action(self, table: Table, decoded: DecodedAction, fields, valid) -> None:
-        action = table.action(decoded.name) if decoded.name in table.action_names else None
-        if action is None:
-            if decoded.name == table.default_action.name:
-                action = table.default_action
-            else:
-                raise InterpreterError(
-                    f"entry in {table.name} references unknown action {decoded.name}"
-                )
-        self._execute_action_body(action.body, fields, valid, params=decoded.param_map())
-
-    def _execute_action_body(self, body, fields, valid, params) -> None:
+    def _execute_action_body(self, body, run: _Run, params) -> None:
         for stmt in body:
-            self._execute_statement(stmt, fields, valid, params)
+            self._execute_statement(stmt, run, params)
 
-    def _execute_statement(self, stmt: Statement, fields, valid, params) -> None:
-        value = self._eval_expr(stmt.value, fields, valid, params)
-        width = self.program.field_width(stmt.dest.path)
-        fields[stmt.dest.path] = value & ((1 << width) - 1)
+    def _execute_statement(self, stmt: Statement, run: _Run, params) -> None:
+        value = self._eval_expr(stmt.value, run, params)
+        path = stmt.dest.path
+        run.fields[path] = value & ((1 << self._plan.widths[path]) - 1)
 
     # ------------------------------------------------------------------
     # Expression evaluation
     # ------------------------------------------------------------------
-    def _eval_expr(self, expr, fields, valid, params) -> int:
+    def _eval_expr(self, expr, run: _Run, params) -> int:
         if isinstance(expr, Const):
             return expr.value & ((1 << expr.width) - 1)
         if isinstance(expr, FieldRef):
-            return fields.get(expr.path, 0)
+            return run.fields.get(expr.path, 0)
         if isinstance(expr, Param):
             if expr.name not in params:
                 raise InterpreterError(f"unbound action parameter {expr.name}")
             return params[expr.name]
         if isinstance(expr, BinOp):
-            left = self._eval_expr(expr.left, fields, valid, params)
-            right = self._eval_expr(expr.right, fields, valid, params)
-            width = self._expr_width(expr.left, params)
-            mask = (1 << width) - 1
-            if expr.op == "+":
-                return (left + right) & mask
-            if expr.op == "-":
-                return (left - right) & mask
-            if expr.op == "&":
-                return left & right
-            if expr.op == "|":
-                return left | right
-            if expr.op == "^":
-                return left ^ right
+            left = self._eval_expr(expr.left, run, params)
+            right = self._eval_expr(expr.right, run, params)
+            mask = (1 << self._expr_width(expr.left)) - 1
+            if expr.op in _WRAPPING:
+                return _WRAPPING[expr.op](left, right) & mask
+            if expr.op in _BITWISE:
+                return _BITWISE[expr.op](left, right)
             raise InterpreterError(f"unknown binary op {expr.op}")
         if isinstance(expr, HashExpr):
-            return self.hash_provider.value(expr.label, fields, expr.width)
+            run.trace.hash_choices += 1
+            return run.hash_provider.value(expr.label, run.fields, expr.width)
         raise InterpreterError(f"unknown expression {expr!r}")
 
-    def _expr_width(self, expr, params) -> int:
+    def _expr_width(self, expr) -> int:
         if isinstance(expr, Const):
             return expr.width
         if isinstance(expr, FieldRef):
-            return self.program.field_width(expr.path)
+            return self._plan.widths[expr.path]
         if isinstance(expr, BinOp):
-            return self._expr_width(expr.left, params)
+            return self._expr_width(expr.left)
         if isinstance(expr, HashExpr):
             return expr.width
         if isinstance(expr, Param):
             return 64  # parameters carry their declared width at decode time
         raise InterpreterError(f"cannot determine width of {expr!r}")
 
-    def _eval_bool(self, cond, fields, valid) -> bool:
+    def _eval_bool(self, cond, run: _Run) -> bool:
         if isinstance(cond, IsValid):
-            return cond.header in valid
+            return cond.header in run.valid
         if isinstance(cond, Cmp):
-            left = self._eval_expr(cond.left, fields, valid, {})
-            right = self._eval_expr(cond.right, fields, valid, {})
-            return {
-                "==": left == right,
-                "!=": left != right,
-                "<": left < right,
-                "<=": left <= right,
-                ">": left > right,
-                ">=": left >= right,
-            }[cond.op]
+            left = self._eval_expr(cond.left, run, {})
+            right = self._eval_expr(cond.right, run, {})
+            return _COMPARE[cond.op](left, right)
         if isinstance(cond, BoolOp):
             if cond.op == "and":
-                return all(self._eval_bool(a, fields, valid) for a in cond.args)
+                return all(self._eval_bool(a, run) for a in cond.args)
             if cond.op == "or":
-                return any(self._eval_bool(a, fields, valid) for a in cond.args)
-            return not self._eval_bool(cond.args[0], fields, valid)
+                return any(self._eval_bool(a, run) for a in cond.args)
+            return not self._eval_bool(cond.args[0], run)
         raise InterpreterError(f"unknown condition {cond!r}")

@@ -14,7 +14,7 @@ between switch and simulator is never a serialization artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.p4.programs.common import (
     ETHERTYPE_IPV4,
@@ -24,8 +24,6 @@ from repro.p4.programs.common import (
     IP_PROTOCOL_UDP,
     STANDARD_HEADERS,
 )
-
-_HEADERS_BY_NAME = {h.name: h for h in STANDARD_HEADERS}
 
 
 class PacketError(ValueError):
@@ -70,67 +68,57 @@ class Packet:
 
 
 # ----------------------------------------------------------------------
-# Bit-level encode/decode helpers
+# Header layouts: one big-endian integer per header
 # ----------------------------------------------------------------------
 
 
-class _BitReader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._bitpos = 0
+class _HeaderLayout:
+    """A header's fields as (path, shift, mask, width) within one ``bits``-wide int."""
 
-    @property
-    def remaining_bits(self) -> int:
-        return len(self._data) * 8 - self._bitpos
+    def __init__(self, header) -> None:
+        self.name = header.name
+        self.bits = header.bit_width
+        fields = []
+        shift = self.bits
+        for fname, width in header.fields:
+            shift -= width
+            fields.append((f"{header.name}.{fname}", shift, (1 << width) - 1, width))
+        self.fields: Tuple[Tuple[str, int, int, int], ...] = tuple(fields)
 
-    def read(self, width: int) -> int:
-        if width > self.remaining_bits:
-            raise PacketError(f"truncated packet: wanted {width} bits, have {self.remaining_bits}")
-        value = 0
-        for _ in range(width):
-            byte = self._data[self._bitpos // 8]
-            bit = (byte >> (7 - (self._bitpos % 8))) & 1
-            value = (value << 1) | bit
-            self._bitpos += 1
-        return value
+    def read(self, data: bytes, bitpos: int, packet: Packet) -> int:
+        """Decode this header at ``bitpos``; returns the position after it."""
+        end = bitpos + self.bits
+        have = len(data) * 8 - bitpos
+        if self.bits > have:
+            for _path, _shift, _mask, width in self.fields:  # name the first field cut short
+                if width > have:
+                    raise PacketError(f"truncated packet: wanted {width} bits, have {have}")
+                have -= width
+        last = (end + 7) // 8
+        word = int.from_bytes(data[bitpos // 8 : last], "big") >> (last * 8 - end)
+        fields = packet.fields
+        for path, shift, mask, _width in self.fields:
+            fields[path] = (word >> shift) & mask
+        packet.valid_headers.add(self.name)
+        return end
 
-    def rest(self) -> bytes:
-        if self._bitpos % 8 != 0:
-            raise PacketError("header stack not byte aligned")
-        return self._data[self._bitpos // 8 :]
-
-
-class _BitWriter:
-    def __init__(self) -> None:
-        self._bits: List[int] = []
-
-    def write(self, value: int, width: int) -> None:
-        self._bits.extend((value >> i) & 1 for i in range(width - 1, -1, -1))
-
-    def finish(self) -> bytes:
-        if len(self._bits) % 8 != 0:
-            raise PacketError("header stack not byte aligned")
-        out = bytearray()
-        for i in range(0, len(self._bits), 8):
-            byte = 0
-            for bit in self._bits[i : i + 8]:
-                byte = (byte << 1) | bit
-            out.append(byte)
-        return bytes(out)
+    def pack(self, packet: Packet) -> int:
+        """This header's fields (truncated to their widths) as one integer."""
+        get = packet.fields.get
+        word = 0
+        for path, shift, mask, _width in self.fields:
+            word |= (get(path, 0) & mask) << shift
+        return word
 
 
-def _read_header(reader: _BitReader, packet: Packet, header_name: str) -> None:
-    header = _HEADERS_BY_NAME[header_name]
-    for fname, width in header.fields:
-        packet.fields[f"{header_name}.{fname}"] = reader.read(width)
-    packet.valid_headers.add(header_name)
-
-
-def _write_header(writer: _BitWriter, packet: Packet, header_name: str) -> None:
-    header = _HEADERS_BY_NAME[header_name]
-    for fname, width in header.fields:
-        writer.write(packet.get(f"{header_name}.{fname}"), width)
-
+_LAYOUTS = {h.name: _HeaderLayout(h) for h in STANDARD_HEADERS}
+_L4 = {IP_PROTOCOL_ICMP: "icmp", IP_PROTOCOL_TCP: "tcp", IP_PROTOCOL_UDP: "udp"}
+# header -> (the field that names what follows it, value -> next header)
+_DEMUX = {
+    "ethernet": ("ethernet.ether_type", {ETHERTYPE_IPV4: "ipv4", ETHERTYPE_IPV6: "ipv6"}),
+    "ipv4": ("ipv4.protocol", _L4),
+    "ipv6": ("ipv6.next_header", _L4),
+}
 
 # ----------------------------------------------------------------------
 # Parser patterns (§5 "Limitations": semi-hardcoded parsers)
@@ -142,36 +130,32 @@ def parse_packet(data: bytes, pattern: str = "ethernet_ipv4_ipv6") -> Packet:
     if pattern != "ethernet_ipv4_ipv6":
         raise PacketError(f"unknown parser pattern {pattern!r}")
     packet = Packet()
-    reader = _BitReader(data)
-    _read_header(reader, packet, "ethernet")
-    ether_type = packet.get("ethernet.ether_type")
-    protocol: Optional[int] = None
-    if ether_type == ETHERTYPE_IPV4:
-        _read_header(reader, packet, "ipv4")
-        protocol = packet.get("ipv4.protocol")
-    elif ether_type == ETHERTYPE_IPV6:
-        _read_header(reader, packet, "ipv6")
-        protocol = packet.get("ipv6.next_header")
-    if protocol == IP_PROTOCOL_ICMP:
-        _read_header(reader, packet, "icmp")
-    elif protocol == IP_PROTOCOL_TCP:
-        _read_header(reader, packet, "tcp")
-    elif protocol == IP_PROTOCOL_UDP:
-        _read_header(reader, packet, "udp")
-    packet.payload = reader.rest()
+    pos, header = 0, "ethernet"
+    while header is not None:
+        pos = _LAYOUTS[header].read(data, pos, packet)
+        selector, following = _DEMUX.get(header, (None, {}))
+        header = following.get(packet.fields.get(selector))
+    if pos % 8 != 0:
+        raise PacketError("header stack not byte aligned")
+    packet.payload = data[pos // 8 :]
     return packet
 
 
-_DEPARSE_ORDER = ("ethernet", "ipv4", "ipv6", "icmp", "tcp", "udp")
+_DEPARSE_ORDER = tuple(
+    _LAYOUTS[name] for name in ("ethernet", "ipv4", "ipv6", "icmp", "tcp", "udp")
+)
 
 
 def deparse_packet(packet: Packet) -> bytes:
     """Serialize a packet back to wire bytes (valid headers in order)."""
-    writer = _BitWriter()
-    for header in _DEPARSE_ORDER:
-        if packet.is_valid(header):
-            _write_header(writer, packet, header)
-    return writer.finish() + packet.payload
+    word = bits = 0
+    for layout in _DEPARSE_ORDER:
+        if layout.name in packet.valid_headers:
+            word = (word << layout.bits) | layout.pack(packet)
+            bits += layout.bits
+    if bits % 8 != 0:
+        raise PacketError("header stack not byte aligned")
+    return word.to_bytes(bits // 8, "big") + packet.payload
 
 
 # ----------------------------------------------------------------------

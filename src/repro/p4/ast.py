@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 # ----------------------------------------------------------------------
@@ -494,6 +495,24 @@ class Table:
                 return k
         raise KeyError(f"table {self.name} has no key {name}")
 
+    @cached_property
+    def match_plan(self) -> Tuple[Tuple[str, str, MatchKind], ...]:
+        """``(key name, field path, kind)`` per key: what matching one entry reads."""
+        return tuple((k.key_name, k.field.path, k.kind) for k in self.keys)
+
+    @cached_property
+    def lpm_key_name(self) -> Optional[str]:
+        """The key longest-prefix selection ranks by (the first LPM key)."""
+        return next((k.key_name for k in self.keys if k.kind is MatchKind.LPM), None)
+
+    @cached_property
+    def actions_by_name(self) -> Dict[str, Action]:
+        """Every action an entry or the default slot may invoke, by name."""
+        out = {self.default_action.name: self.default_action}
+        for ref in reversed(self.actions):
+            out[ref.action.name] = ref.action
+        return out
+
     def action(self, name: str) -> Action:
         for ref in self.actions:
             if ref.action.name == name:
@@ -504,15 +523,11 @@ class Table:
     def action_names(self) -> List[str]:
         return [ref.action.name for ref in self.actions]
 
-    @property
-    def has_ternary_or_optional(self) -> bool:
-        return any(k.kind in (MatchKind.TERNARY, MatchKind.OPTIONAL) for k in self.keys)
-
-    @property
+    @cached_property
     def requires_priority(self) -> bool:
         """Per the P4Runtime spec, entries need an explicit priority iff the
         table has at least one ternary/optional (range) key."""
-        return self.has_ternary_or_optional
+        return any(k.kind in (MatchKind.TERNARY, MatchKind.OPTIONAL) for k in self.keys)
 
     def __repr__(self) -> str:
         return f"table {self.name}[{len(self.keys)} keys, {len(self.actions)} actions]"
@@ -605,12 +620,6 @@ class HeaderType:
     def bit_width(self) -> int:
         return sum(w for _, w in self.fields)
 
-    def field_width(self, name: str) -> int:
-        for fname, width in self.fields:
-            if fname == name:
-                return width
-        raise KeyError(f"header {self.name} has no field {name}")
-
 
 @dataclass(frozen=True)
 class P4Program:
@@ -633,44 +642,31 @@ class P4Program:
                 return h
         raise KeyError(f"program {self.name} has no header {name}")
 
+    @cached_property
+    def plan(self) -> "ExecutionPlan":
+        """What a per-packet walk would re-derive from the (frozen) AST, computed once."""
+        return ExecutionPlan(self)
+
     def field_width(self, path: str) -> int:
         """Bit width of a dotted field path (header, meta or standard)."""
-        if path in STANDARD_FIELDS:
-            return STANDARD_FIELDS[path]
-        prefix, _, fname = path.partition(".")
-        if prefix == "meta":
-            for name, width in self.metadata:
-                if name == fname:
-                    return width
-            raise KeyError(f"program {self.name} has no metadata field {fname}")
-        return self.header(prefix).field_width(fname)
+        try:
+            return self.plan.widths[path]
+        except KeyError:
+            raise KeyError(f"program {self.name} has no field {path}") from None
 
     def tables(self) -> List[Table]:
         """All tables in pipeline order (ingress then egress)."""
-        out: List[Table] = []
-
-        def walk(block: Seq) -> None:
-            for node in block:
-                if isinstance(node, TableApply):
-                    if node.table not in out:
-                        out.append(node.table)
-                elif isinstance(node, If):
-                    walk(node.then_block)
-                    walk(node.else_block)
-
-        walk(self.ingress)
-        walk(self.egress)
-        return out
+        return list(self.plan.tables)
 
     def programmable_tables(self) -> List[Table]:
         """Tables exposed via the control-plane API (excludes logical ones)."""
         return [t for t in self.tables() if not t.is_logical]
 
     def table(self, name: str) -> Table:
-        for t in self.tables():
-            if t.name == name:
-                return t
-        raise KeyError(f"program {self.name} has no table {name}")
+        try:
+            return self.plan.tables_by_name[name]
+        except KeyError:
+            raise KeyError(f"program {self.name} has no table {name}") from None
 
     def actions(self) -> List[Action]:
         """All distinct actions across tables, in first-seen order."""
@@ -685,27 +681,57 @@ class P4Program:
 
     def conditionals(self) -> List[If]:
         """All `if` nodes, in pipeline order, with stable indices."""
-        out: List[If] = []
-
-        def walk(block: Seq) -> None:
-            for node in block:
-                if isinstance(node, If):
-                    out.append(node)
-                    walk(node.then_block)
-                    walk(node.else_block)
-
-        walk(self.ingress)
-        walk(self.egress)
-        return out
+        return list(self.plan.conditionals)
 
     def all_field_paths(self) -> List[str]:
         """Every addressable field path: headers, metadata, standard."""
-        out: List[str] = []
-        for h in self.headers:
-            out.extend(f"{h.name}.{fname}" for fname, _ in h.fields)
-        out.extend(f"meta.{name}" for name, _ in self.metadata)
-        out.extend(STANDARD_FIELDS)
-        return out
+        return list(self.plan.zero_fields)
 
     def __repr__(self) -> str:
-        return f"P4Program({self.name}, role={self.role}, {len(self.tables())} tables)"
+        return f"P4Program({self.name}, role={self.role}, {len(self.plan.tables)} tables)"
+
+
+class ExecutionPlan:
+    """Per-program lookup maps, built once by :attr:`P4Program.plan`: what
+    both interpreters and the reference switch ask per packet or per
+    assignment (which tables, how wide a field is, which header owns it)
+    depends only on the frozen AST."""
+
+    def __init__(self, program: P4Program) -> None:
+        tables: List[Table] = []
+        conditionals: List[If] = []
+
+        def walk(block: Seq) -> None:
+            for node in block:
+                if isinstance(node, TableApply):
+                    if node.table not in tables:
+                        tables.append(node.table)
+                elif isinstance(node, If):
+                    conditionals.append(node)
+                    walk(node.then_block)
+                    walk(node.else_block)
+
+        walk(program.ingress)
+        walk(program.egress)
+        self.tables: Tuple[Table, ...] = tuple(tables)
+        self.conditionals: Tuple[If, ...] = tuple(conditionals)
+        self.tables_by_name: Dict[str, Table] = {}
+        for table in tables:
+            self.tables_by_name.setdefault(table.name, table)
+        # First declaration wins, as the linear searches this replaces did;
+        # standard metadata shadows everything.
+        self.widths: Dict[str, int] = dict(STANDARD_FIELDS)
+        self.header_of: Dict[str, str] = {}
+        paths: List[str] = []
+        for h in program.headers:
+            for fname, width in h.fields:
+                path = f"{h.name}.{fname}"
+                paths.append(path)
+                self.widths.setdefault(path, width)
+                self.header_of.setdefault(path, h.name)
+        for name, width in program.metadata:
+            paths.append(f"meta.{name}")
+            self.widths.setdefault(f"meta.{name}", width)
+        paths.extend(STANDARD_FIELDS)
+        # Every addressable path, zeroed: the start-of-packet field map (copy it).
+        self.zero_fields: Dict[str, int] = dict.fromkeys(paths, 0)

@@ -79,17 +79,16 @@ class ReferenceSwitch(P4RuntimeService):
         self._packet_ins: List[PacketIn] = []
         self._egress_log: List[Tuple[int, bytes]] = []
         # Incremental bookkeeping (mirrors _store; maintained when indexed).
-        self._tables_by_name = {t.name: t for t in program.tables()}
         self._counts: Dict[str, int] = {}
         self._orders: Dict[Tuple, int] = {}
         self._next_order = 0
         self._indices: Dict[str, TableIndex] = {}
         self._refindex: Optional[ReferenceIndex] = None
         self._by_table_wire: Dict[int, Dict[Tuple, TableEntry]] = {}
-        # Per-table decoded entries in install order (MODIFY keeps its
-        # position, matching the global store's dict semantics) — the
-        # interpreter's fallback for tables with no AST declaration.
-        self._decoded_by_table: Dict[str, Dict[Tuple, InstalledEntry]] = {}
+        # One interpreter for every packet.  Indexed, it needs no entry lists:
+        # every table the AST declares gets its (live) index on first insert,
+        # and a table the AST does not declare is never applied.
+        self._interpreter = Interpreter(program, {}, table_indices=self._indices)
 
     # ------------------------------------------------------------------
     # P4RuntimeService
@@ -177,7 +176,6 @@ class ReferenceSwitch(P4RuntimeService):
         index = self._index_for(name)
         if index is not None:
             index.add(order, decoded)
-        self._decoded_by_table.setdefault(name, {})[key] = decoded
         if self._refindex is not None:
             self._refindex.insert(key, wire)
         self._by_table_wire.setdefault(wire.table_id, {})[key] = wire
@@ -195,7 +193,6 @@ class ReferenceSwitch(P4RuntimeService):
         index = self._index_for(decoded.table_name)
         if index is not None:
             index.replace(old_decoded, self._orders[key], decoded)
-        self._decoded_by_table[decoded.table_name][key] = decoded
         if self._refindex is not None:
             self._refindex.replace(key, wire)
         self._by_table_wire[wire.table_id][key] = wire
@@ -205,7 +202,6 @@ class ReferenceSwitch(P4RuntimeService):
         index = self._index_for(name)
         if index is not None:
             index.remove(decoded)
-        del self._decoded_by_table[name][key]
         self._orders.pop(key, None)
         count = self._counts.get(name, 0) - 1
         if count > 0:
@@ -221,9 +217,9 @@ class ReferenceSwitch(P4RuntimeService):
     def _index_for(self, table_name: str) -> Optional[TableIndex]:
         index = self._indices.get(table_name)
         if index is None:
-            table = self._tables_by_name.get(table_name)
+            table = self.program.plan.tables_by_name.get(table_name)
             if table is None:
-                return None  # no AST declaration: interpreter scans the list
+                return None  # no AST declaration: never applied to a packet
             index = self._indices[table_name] = TableIndex(table)
         return index
 
@@ -333,21 +329,9 @@ class ReferenceSwitch(P4RuntimeService):
 
     def send_packet(self, payload: bytes, ingress_port: int) -> ObservedForwarding:
         parsed = parse_packet(payload, self.program.parser.pattern)
-        if self.indexed:
-            # Every declared table has a persistently maintained index; the
-            # state mapping only covers tables the AST does not declare
-            # (the interpreter falls back to scanning those).
-            fallback = {
-                name: list(entries.values())
-                for name, entries in self._decoded_by_table.items()
-                if name not in self._indices and entries
-            }
-            interp = Interpreter(
-                self.program, fallback, self._hash, table_indices=self._indices
-            )
-        else:
-            interp = Interpreter(self.program, self._state(), self._hash)
-        result = interp.run(parsed, ingress_port)
+        if not self.indexed:
+            self._interpreter.state = self._state()
+        result = self._interpreter.run(parsed, ingress_port, self._hash)
         if result.punted:
             self._packet_ins.append(
                 PacketIn(payload=deparse_packet(result.packet), ingress_port=ingress_port)

@@ -1,0 +1,159 @@
+"""Deterministic effort gates for the data-plane oracle (call counts, no clocks).
+
+The packet set is the benchmark's ``symbolic_cold`` one — ToR, 150
+production-like entries, run seed 1 — so the ratios asserted here are the
+ones ``bmv2.simulate_s`` is made of.
+"""
+
+import random
+
+import pytest
+
+from repro.bmv2.entries import decode_table_entry
+from repro.bmv2.interpreter import Interpreter
+from repro.bmv2.packet import deparse_packet
+from repro.bmv2.simulator import Bmv2Simulator
+from repro.p4.ast import ExecutionPlan
+from repro.p4.p4info import build_p4info
+from repro.p4.programs import build_tor_program
+from repro.p4rt.messages import Update, UpdateType, WriteRequest
+from repro.switch import ReferenceSwitch
+from repro.symbolic import CoverageMode, PacketGenerator
+from repro.workloads import production_like_entries
+
+
+class Counters:
+    def __init__(self, monkeypatch):
+        self.runs = self.interpreters = self.plans = 0
+        for cls, name, counter in (
+            (Interpreter, "run", "runs"),
+            (Interpreter, "__init__", "interpreters"),
+            (ExecutionPlan, "__init__", "plans"),
+        ):
+            monkeypatch.setattr(cls, name, self._counting(getattr(cls, name), counter))
+
+    def _counting(self, wrapped, counter):
+        def call(*args, **kwargs):
+            setattr(self, counter, getattr(self, counter) + 1)
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    def snapshot(self):
+        return (self.runs, self.interpreters, self.plans)
+
+
+def _decode_state(p4info, entries):
+    state = {}
+    for entry in entries:
+        decoded = decode_table_entry(p4info, entry)
+        state.setdefault(decoded.table_name, []).append(decoded)
+    return state
+
+
+@pytest.fixture(scope="module")
+def tor150():
+    program = build_tor_program()  # a fresh object: its plan is not built yet
+    p4info = build_p4info(program)
+    # bench.workloads.sub_seed(1, "entries")
+    entries = production_like_entries(
+        p4info, total=150, seed=random.Random("1:entries").getrandbits(31)
+    )
+    state = _decode_state(p4info, entries)
+    packets = PacketGenerator(program, state).generate(CoverageMode.ENTRY).packets
+    assert len(packets) > 100
+    return program, p4info, entries, state, packets
+
+
+def test_one_interpretation_per_packet_without_a_choice_point(tor150, monkeypatch):
+    program, _p4info, _entries, state, packets = tor150
+    counters = Counters(monkeypatch)
+    simulator = Bmv2Simulator(program, state)
+    assert (counters.interpreters, counters.plans) == (1, 0)
+
+    behaviours = 0
+    asked = set()
+    for generated in packets:
+        before = counters.runs
+        found = simulator.behaviors(generated.packet, generated.ingress_port)
+        spent = counters.runs - before
+        behaviours += len(found)
+        trace = found[0].result.trace
+        question = (generated.packet.signature(), generated.ingress_port)
+        if question in asked:  # two goals, one packet
+            assert spent == 0, generated.goal
+        elif not (trace.hash_choices or trace.tie_choices):
+            assert spent == 1 and len(found) == 1, generated.goal
+        else:
+            assert spent > 1, generated.goal
+        asked.add(question)
+    # The full rotation spends 5.3 runs per packet on this set.
+    assert counters.runs <= 1.5 * len(packets)
+    assert behaviours > len(packets), "no packet of the set met a choice point"
+    assert (counters.interpreters, counters.plans) == (1, 0)
+
+
+def test_a_repeated_question_costs_no_interpretation(tor150, monkeypatch):
+    program, _p4info, _entries, state, packets = tor150
+    counters = Counters(monkeypatch)
+    simulator = Bmv2Simulator(program, state)
+    signatures = [
+        simulator.behaviors(g.packet, g.ingress_port)[-1].signature for g in packets
+    ]
+    spent = counters.snapshot()
+    for generated, signature in zip(packets, signatures, strict=True):
+        # What the harness asks after a MODIFY sweep, and for a mismatch report.
+        assert simulator.admits(generated.packet, generated.ingress_port, signature)
+        assert not simulator.admits(generated.packet.copy(), generated.ingress_port, ("bogus",))
+        assert simulator.behaviors(generated.packet, generated.ingress_port)
+    assert counters.snapshot() == spent
+    # Another ingress port is another question.
+    simulator.behaviors(packets[0].packet, 0)
+    assert counters.runs > spent[0]
+
+
+def test_reference_switch_reuses_one_interpreter_and_the_plan(tor150, monkeypatch):
+    program, p4info, entries, _state, packets = tor150
+    counters = Counters(monkeypatch)
+    switch = ReferenceSwitch(program)
+    assert switch.set_forwarding_pipeline_config(p4info).ok
+    for entry in entries:
+        response = switch.write(WriteRequest(updates=(Update(UpdateType.INSERT, entry),)))
+        assert response.statuses[0].ok
+    assert counters.snapshot() == (0, 1, 0)
+    forwarded = 0
+    for generated in packets:
+        observed = switch.send_packet(deparse_packet(generated.packet), generated.ingress_port)
+        forwarded += observed.egress_port is not None
+    assert forwarded
+    assert counters.snapshot() == (len(packets), 1, 0)
+    # A write in between changes what packets see, not what they cost.
+    victim = next(e for e in reversed(entries))
+    assert switch.write(WriteRequest(updates=(Update(UpdateType.DELETE, victim),))).statuses[0].ok
+    switch.send_packet(deparse_packet(packets[0].packet), packets[0].ingress_port)
+    assert counters.snapshot() == (len(packets) + 1, 1, 0)
+
+
+def test_the_program_is_walked_once_for_every_client():
+    built = []
+    original = ExecutionPlan.__init__
+
+    def counting(self, program):
+        built.append(program.name)
+        original(self, program)
+
+    program = build_tor_program()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ExecutionPlan, "__init__", counting)
+        p4info = build_p4info(program)
+        state = _decode_state(p4info, production_like_entries(p4info, total=40, seed=3))
+        packets = PacketGenerator(program, state).generate(CoverageMode.ENTRY).packets
+        simulator = Bmv2Simulator(program, state)
+        for generated in packets:
+            simulator.behaviors(generated.packet, generated.ingress_port)
+        ReferenceSwitch(program)
+        for _ in range(3):
+            assert len(program.tables()) == 12
+            assert program.field_width("ipv4.dst_addr") == 32
+            assert "meta.vrf_id" in program.all_field_paths()
+    assert built == [program.name]

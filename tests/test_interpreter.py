@@ -163,33 +163,34 @@ class TestWcmpSelection:
     def test_round_robin_enumerates_members(self, tor_program, wcmp_state):
         ports = set()
         for round_index in range(3):
-            interp = Interpreter(tor_program, wcmp_state, RoundRobinHash(round_index))
-            result = interp.run(make_ipv4_packet(0x0AC00005), 4)
+            interp = Interpreter(tor_program, wcmp_state)
+            result = interp.run(make_ipv4_packet(0x0AC00005), 4, RoundRobinHash(round_index))
             ports.add(result.egress_port)
         assert ports == {1, 2, 3}
 
     def test_seeded_hash_is_deterministic(self, tor_program, wcmp_state):
         results = {
-            Interpreter(tor_program, wcmp_state, SeededHash(seed=5))
-            .run(make_ipv4_packet(0x0AC00005), 4)
+            Interpreter(tor_program, wcmp_state)
+            .run(make_ipv4_packet(0x0AC00005), 4, SeededHash(seed=5))
             .egress_port
             for _ in range(3)
         }
         assert len(results) == 1
 
     def test_seeded_hash_spreads_flows(self, tor_program, wcmp_state):
-        interp = Interpreter(tor_program, wcmp_state, SeededHash(seed=5))
+        interp, flow_hash = Interpreter(tor_program, wcmp_state), SeededHash(seed=5)
         ports = {
-            interp.run(make_ipv4_packet(0x0AC00005, src_addr=src), 4).egress_port
+            interp.run(make_ipv4_packet(0x0AC00005, src_addr=src), 4, flow_hash).egress_port
             for src in range(200)
         }
         assert len(ports) > 1  # multiple members actually used
 
     def test_weights_shape_distribution(self, tor_program, wcmp_state):
-        interp = Interpreter(tor_program, wcmp_state, SeededHash(seed=5))
+        interp, flow_hash = Interpreter(tor_program, wcmp_state), SeededHash(seed=5)
         counts = {1: 0, 2: 0, 3: 0}
         for src in range(400):
-            port = interp.run(make_ipv4_packet(0x0AC00005, src_addr=src), 4).egress_port
+            packet = make_ipv4_packet(0x0AC00005, src_addr=src)
+            port = interp.run(packet, 4, flow_hash).egress_port
             counts[port] += 1
         # Member 2 has double weight; expect visibly more traffic.
         assert counts[2] > counts[1]
@@ -229,7 +230,7 @@ class TestBehaviorSets:
         pkt = make_ipv4_packet(0x0AC00001)
         # A behaviour produced by a *different* hash (the switch's) must be
         # admitted as long as it lands on some member.
-        other = Interpreter(tor_program, state, SeededHash(seed=99)).run(pkt, 5)
+        other = Interpreter(tor_program, state).run(pkt, 5, SeededHash(seed=99))
         assert sim.admits(pkt, 5, other.behavior_signature())
 
     def test_rejects_non_member_behavior(self, tor_program, tor_p4info, tor_baseline):

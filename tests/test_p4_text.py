@@ -75,8 +75,8 @@ class TestRoundTrip:
             state.setdefault(decoded.table_name, []).append(decoded)
         for dst, ttl in ((0x0A010001, 64), (0x0A020002, 2), (0x0AFFFF01, 9), (0xFFFFFFFF, 5)):
             packet = make_ipv4_packet(dst, ttl=ttl)
-            original = Interpreter(tor_program, state, SeededHash(1)).run(packet, 2)
-            reparsed = Interpreter(parsed, state, SeededHash(1)).run(packet, 2)
+            original = Interpreter(tor_program, state).run(packet, 2, SeededHash(1))
+            reparsed = Interpreter(parsed, state).run(packet, 2, SeededHash(1))
             assert original.behavior_signature() == reparsed.behavior_signature()
 
     @pytest.mark.parametrize("build", ALL_BUILDERS)

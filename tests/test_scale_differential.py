@@ -8,12 +8,14 @@ fault catalogue must produce byte-identical outcomes in both modes.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.bmv2.interpreter import Interpreter, SeededHash
 from repro.bmv2.packet import deparse_packet, make_ipv4_packet
 from repro.fuzzer.fuzzer import FuzzerConfig, P4Fuzzer
+from repro.fuzzer import oracle as oracle_module
 from repro.fuzzer.oracle import Oracle
 from repro.p4rt.messages import (
     ReadRequest,
@@ -201,14 +203,12 @@ def test_interpreter_index_matches_linear_scan(tor_program, tor_p4info):
         indexed = Interpreter(
             tor_program,
             state,
-            SeededHash(seed=3),
             optional_absent_matches_zero=optional_zero,
             lpm_shortest_prefix_wins=lpm_short,
         )
         linear = Interpreter(
             tor_program,
             state,
-            SeededHash(seed=3),
             optional_absent_matches_zero=optional_zero,
             lpm_shortest_prefix_wins=lpm_short,
         )
@@ -219,8 +219,8 @@ def test_interpreter_index_matches_linear_scan(tor_program, tor_p4info):
                 src_addr=rng.getrandbits(32),
                 ttl=rng.choice([1, 33, 64]),
             )
-            a = indexed.run(packet.copy(), ingress_port=1)
-            b = linear.run(packet.copy(), ingress_port=1)
+            a = indexed.run(packet, 1, SeededHash(seed=3))
+            b = linear.run(packet, 1, SeededHash(seed=3))
             assert a.behavior_signature() == b.behavior_signature()
             assert a.trace.table_hits == b.trace.table_hits
         if not (optional_zero or lpm_short):
@@ -278,6 +278,51 @@ def test_readback_suppression_identity_across_modes(toy_p4info):
     assert logs[True] == logs[False]
 
 
+def test_undecodable_entry_mismatches_every_batch_even_when_echoed(toy_p4info, monkeypatch):
+    """A read-back that returns the very entry the oracle expects is
+    answered with one decode-cache probe — and an entry that does not
+    decode still mismatches on every batch, in both modes, whether the
+    switch echoes the same object or an equal copy."""
+    b = EntryBuilder(toy_p4info)
+    good = b.exact("vrf_tbl", {"vrf_id": 3}, "NoAction")
+    broken = replace(
+        b.exact("vrf_tbl", {"vrf_id": 4}, "NoAction"),
+        matches=(replace(good.matches[0], value=b"\x00\x00\x04"),),  # non-canonical
+    )
+    nothing = WriteResponse(statuses=())
+    summaries = {}
+    for mode in (True, False):
+        oracle = Oracle(toy_p4info, incremental=mode)
+        oracle.resync([good, broken])
+        decodes = []
+        real_decode = oracle_module.decode_table_entry
+
+        def counting_decode(p4info, entry, decodes=decodes, real_decode=real_decode):
+            decodes.append(entry)
+            return real_decode(p4info, entry)
+
+        monkeypatch.setattr(oracle_module, "decode_table_entry", counting_decode)
+        probes = []
+        real_probe = Oracle._decode_cached
+        monkeypatch.setattr(
+            Oracle, "_decode_cached", lambda self, e: probes.append(e) or real_probe(self, e)
+        )
+        per_batch = []
+        for echoed in (broken, replace(broken), broken):
+            assert echoed == broken
+            log = oracle.judge_batch([], nothing, read_back=[good, echoed])
+            per_batch.append(_readback_kinds(log))
+        monkeypatch.undo()
+        assert all(len(kinds) == 1 and "content differs" in kinds[0] for kinds in per_batch)
+        summaries[mode] = per_batch
+        if mode:
+            # One decode per distinct wire entry for the oracle's lifetime,
+            # one cache probe per echoed entry per batch.
+            assert len(decodes) == 2
+            assert len(probes) == 2 * len(per_batch)
+    assert summaries[True] == summaries[False]
+
+
 def test_seeded_hash_fields_cannot_alias():
     """Minimal-length framing made distinct field tuples collide (e.g.
     src=0x0102,dst=0x03 vs src=0x01,dst=0x0203); declared-width framing
@@ -298,7 +343,7 @@ def test_seeded_hash_fields_cannot_alias():
 def test_seeded_hash_binds_widths_from_program(tor_program):
     h = SeededHash(seed=1, fields=("meta.vrf_id",))
     assert "meta.vrf_id" not in h.field_widths
-    h.bind_widths(tor_program.field_width)
+    h.bind_widths(tor_program.plan.widths)
     assert h.field_widths["meta.vrf_id"] == tor_program.field_width("meta.vrf_id")
 
 
