@@ -1,29 +1,16 @@
-"""Compiled term evaluation + cross-state solver pooling benchmarks.
+"""Warm-pool identity smoke (the file name predates what is left in it).
 
-Two optimisations sit under packet generation's hot paths:
+A fuzzing campaign validates a *sequence* of table states, and a shared
+:class:`SolverPool` keeps the bit-blasted encoding, learned clauses and
+solved-formula results alive across them.  That must be invisible in the
+results: warm-pool runs emit byte-identical packets to cold runs because
+witnesses are canonicalised, never read off the solver's history-dependent
+model (``repro.symbolic.packets``).  The smoke test below gates CI.
 
-* **Compiled evaluation** (:mod:`repro.smt.compile`) — goal subsumption and
-  model checking evaluate the same hash-consed condition DAGs thousands of
-  times under different assignments.  Flattening a DAG once into postorder
-  bytecode (one slot per unique node, constants pre-folded) and running a
-  tight interpreter loop beats the recursive ``T.evaluate`` tree walk.
-* **Cross-state solver pooling** (:mod:`repro.smt.pool`) — a fuzzing
-  campaign validates a *sequence* of table states.  A shared
-  :class:`SolverPool` keeps the bit-blasted encoding, learned clauses, and
-  solved-formula results alive across states, so a single-entry edit only
-  re-solves the goals whose solved formulas actually changed — against a
-  warm solver.
-
-Both paths are required to be invisible in the results: compiled
-evaluation agrees with ``T.evaluate`` everywhere (property-tested in
-``tests/test_smt_compile.py``), and warm-pool runs emit byte-identical
-packets to cold runs because witnesses are canonicalised, never read off
-the solver's history-dependent model (``repro.symbolic.packets``).
-
-The smoke test at the bottom gates CI; the tables are diagnostics.
+What a single-entry edit on a warm pool *costs* is the ``symbolic_churn``
+workload of ``python3 -m bench run``; how subsumption evaluates conditions
+is pinned by call counts in ``tests/test_dataplane_effort.py``.
 """
-
-import time
 
 from conftest import print_table
 
@@ -35,13 +22,10 @@ from repro.p4.programs import (
     build_toy_program,
     build_wan_program,
 )
-from repro.smt import Result, Solver
-from repro.smt import terms as T
-from repro.smt.compile import compile_term
 from repro.smt.pool import SolverPool
-from repro.symbolic import PacketGenerator, SymbolicExecutor
+from repro.symbolic import PacketGenerator
 from repro.symbolic.coverage import CoverageMode
-from repro.workloads import EntryBuilder, baseline_entries, production_like_entries
+from repro.workloads import EntryBuilder, baseline_entries
 
 
 def _decode_state(p4info, entries):
@@ -50,162 +34,6 @@ def _decode_state(p4info, entries):
         decoded = decode_table_entry(p4info, entry)
         state.setdefault(decoded.table_name, []).append(decoded)
     return state
-
-
-def _tor_fixture(total, seed=1):
-    program = build_tor_program()
-    p4info = build_p4info(program)
-    entries = production_like_entries(p4info, total=total, seed=seed)
-    return program, p4info, entries
-
-
-# ----------------------------------------------------------------------
-# Table 1: tree-walk vs compiled evaluation
-# ----------------------------------------------------------------------
-
-
-def test_compiled_vs_tree_walk(scale):
-    """Evaluate real subsumption-sized goal conditions both ways.
-
-    The conditions are what ``PacketGenerator.subsume_goal`` and the
-    canonical-witness fast path evaluate: per-entry trace terms from the
-    symbolically executed ToR pipeline under a production-like state,
-    conjoined with the profile's path constraints.  Each is evaluated
-    under a *satisfying* assignment (a solver model), the case that
-    matters: a subsumption hit / witness acceptance must evaluate the
-    whole formula — short-circuiting cannot bail out early — so this is
-    where evaluation cost concentrates.
-    """
-    program, p4info, entries = _tor_fixture(min(scale.inst1_entries, 120))
-    state = _decode_state(p4info, entries)
-    executions = SymbolicExecutor(program, state).execute()
-
-    # The largest conditions dominate subsumption cost; measure those,
-    # in the exact form the hot paths evaluate them: constraints ∧ term.
-    conditions = []
-    assignments = []
-    for execution in executions:
-        solver = Solver()
-        solver.add(*execution.constraints)
-        big = sorted(
-            (t for t in execution.trace.values()
-             if t is not T.FALSE and t is not T.TRUE),
-            key=lambda t: -len(T.free_variables(t)),
-        )[:6]
-        for term in big:
-            if solver.check(term) is not Result.SAT:
-                continue
-            formula = T.and_(*execution.constraints, term)
-            conditions.append(formula)
-            assignments.append(dict(solver.model()))
-
-    reps = 30
-    compiled = [compile_term(c) for c in conditions]  # warm the cache
-
-    start = time.perf_counter()
-    for _ in range(reps):
-        tree_results = [
-            T.evaluate(c, a) for c, a in zip(conditions, assignments, strict=True)
-        ]
-    tree_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for _ in range(reps):
-        compiled_results = [
-            c.evaluate(a) for c, a in zip(compiled, assignments, strict=True)
-        ]
-    compiled_seconds = time.perf_counter() - start
-
-    speedup = tree_seconds / max(compiled_seconds, 1e-9)
-    slots = sum(c.size for c in compiled)
-    print_table(
-        f"Compiled evaluation (ToR trace conditions, {scale.name} scale)",
-        ["Evaluator", "Conditions", "Slots", "Reps", "Wall clock", "Speedup"],
-        [
-            ("T.evaluate (tree walk)", len(conditions), "-", reps,
-             f"{tree_seconds:.3f}s", "1.00x"),
-            ("CompiledTerm bytecode", len(conditions), slots, reps,
-             f"{compiled_seconds:.3f}s", f"{speedup:.2f}x"),
-        ],
-    )
-
-    assert tree_results == compiled_results
-    assert speedup >= 3.0, (
-        f"compiled evaluation only {speedup:.2f}x over the tree walk "
-        f"(tree {tree_seconds:.3f}s, compiled {compiled_seconds:.3f}s)"
-    )
-
-
-# ----------------------------------------------------------------------
-# Table 2: cold rebuild vs warm pool across single-entry edits
-# ----------------------------------------------------------------------
-
-
-def test_cold_vs_warm_pool_edit_sequence(scale):
-    """Replay a sequence of single-entry edits two ways.
-
-    Cold rebuilds every solver per state (the pre-pool behaviour); warm
-    shares one :class:`SolverPool` across the whole sequence.  The edited
-    states are where the pool pays off: unchanged solved formulas are
-    answered from the memo and only edit-affected goals reach the (warm)
-    solver.
-    """
-    program, p4info, entries = _tor_fixture(60 if scale.name == "small" else 150)
-    # State k drops the last k entries: a chain of single-entry edits.
-    states = [
-        _decode_state(p4info, entries if k == 0 else entries[:-k])
-        for k in range(5)
-    ]
-
-    def run(state, pool):
-        start = time.perf_counter()
-        result = PacketGenerator(program, state, solver_pool=pool).generate(
-            CoverageMode.ENTRY
-        )
-        return time.perf_counter() - start, result
-
-    cold = [run(state, None) for state in states]
-    pool = SolverPool()
-    warm = [run(state, pool) for state in states]
-
-    rows = []
-    for k, ((cs, cr), (ws, wr)) in enumerate(zip(cold, warm, strict=True)):
-        identical = [(p.goal, p.profile, p.packet, p.ingress_port) for p in cr.packets] == [
-            (p.goal, p.profile, p.packet, p.ingress_port) for p in wr.packets
-        ] and cr.uncovered == wr.uncovered
-        rows.append(
-            (f"state {k}" + (" (base)" if k == 0 else f" (-{k} entries)"),
-             cr.stats.solver_queries, wr.stats.solver_queries,
-             wr.stats.pool_hits, f"{cs:.2f}s", f"{ws:.2f}s",
-             f"{cs / max(ws, 1e-9):.2f}x", identical)
-        )
-        assert identical, f"warm pool diverged from cold rebuild on state {k}"
-
-    cold_total = sum(s for s, _ in cold)
-    warm_total = sum(s for s, _ in warm)
-    # The speedup claim is about *regeneration*: the edited states after
-    # the pool has seen the base state once.
-    cold_edits = sum(s for s, _ in cold[1:])
-    warm_edits = sum(s for s, _ in warm[1:])
-    edit_speedup = cold_edits / max(warm_edits, 1e-9)
-    rows.append(
-        ("total", sum(r.stats.solver_queries for _, r in cold),
-         sum(r.stats.solver_queries for _, r in warm),
-         sum(r.stats.pool_hits for _, r in warm),
-         f"{cold_total:.2f}s", f"{warm_total:.2f}s",
-         f"{cold_total / max(warm_total, 1e-9):.2f}x", True)
-    )
-    print_table(
-        f"Cross-state solver pool (ToR single-entry edits, {scale.name} scale)",
-        ["State", "Cold queries", "Warm queries", "Pool hits",
-         "Cold", "Warm", "Speedup", "Identical"],
-        rows,
-    )
-
-    assert edit_speedup >= 2.0, (
-        f"warm-pool regeneration only {edit_speedup:.2f}x over cold rebuild "
-        f"(cold {cold_edits:.2f}s, warm {warm_edits:.2f}s across 4 edits)"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,6 @@ from repro.smt.terms import (
     bool_var,
     bv_const,
     bv_var,
-    evaluate,
 )
 from repro.smt.compile import CompiledTerm, compile_term, evaluate_compiled
 from repro.smt.pool import SolverPool
@@ -69,6 +68,5 @@ __all__ = [
     "bv_const",
     "bv_var",
     "compile_term",
-    "evaluate",
     "evaluate_compiled",
 ]

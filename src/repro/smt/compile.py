@@ -1,34 +1,42 @@
 """Compiled concrete evaluation of term DAGs.
 
-:func:`repro.smt.terms.evaluate` interprets a term by recursive descent:
-every node pays a string-keyed op dispatch, a per-call memo-dict probe, and
-a Python frame.  The hot concrete-evaluation paths — goal subsumption
-(every goal condition against every prior witness), model evaluation, and
-the semantic passes' reachability prefilters — evaluate the *same* large
-condition thousands of times under different assignments, so the per-node
-interpretation overhead dominates.
+A :class:`CompiledTerm` is a *program*: term DAGs flattened into postorder
+bytecode — parallel flat arrays of integer opcodes and argument *slot
+indices*, one slot per unique subterm, executed by a single tight loop.
+Constants are folded into the initial slot template at compile time and
+variables load through a prelude table, so the dispatch loop only ever
+sees interior operators; width masks, sign bits and extract offsets are
+precomputed into the instruction payloads.
 
-This module flattens a term DAG once into postorder bytecode: parallel flat
-arrays of integer opcodes and argument *slot indices*, one slot per unique
-subterm, executed by a single tight loop.  Constants are folded into the
-initial slot template at compile time and variables load through a prelude
-table, so the dispatch loop only ever sees interior operators.  Width
-masks, sign bits, and extract offsets are precomputed into the instruction
-payloads.
+A program has one or more *roots*.  :meth:`CompiledTerm.add_root` appends
+only the nodes no earlier root reached, so roots that share structure —
+every goal condition of one parser profile shares most of the symbolic
+walk — cost their union, not their sum; one ``evaluate_roots`` pass then
+yields every root's value under one assignment.
+``CompiledTerm(term).evaluate(...)`` is the one-root case.
 
-Compilation happens once per term and is cached process-wide.  Terms are
-hash-consed (same structure ⇒ same object — see ``terms._TERM_CACHE``), so
-keying the cache on term identity is exactly "compiled once per
-``term_digest``" without paying a SHA-256 walk per lookup.
+Who owns a program:
 
-The tree-walking ``terms.evaluate`` is kept unchanged as the independent
-reference semantics; ``tests/test_smt_compile.py`` holds a randomized
-equivalence guard between the two.
+* ``PacketGenerator`` owns one multi-root program per parser profile for
+  goal subsumption: each generated packet is evaluated over it once and
+  ``subsume_goal`` reads one value per (goal, prior packet).  It lives and
+  dies with the generator and never touches the cache below.
+* Everything that evaluates *one* formula under many assignments — the
+  canonical-witness fast path, ``minmodel``, ``Model.evaluate``, the
+  analysis witnesses and reachability prefilters — goes through
+  :func:`compile_term`, a process-wide cache of single-root programs.
+  Terms are hash-consed (same structure ⇒ same object — see
+  ``terms._TERM_CACHE``), so keying on term identity is exactly "compiled
+  once per ``term_digest``" without paying a SHA-256 walk per lookup.
+
+``tests/treewalk_eval.py`` is the independent reference semantics (one
+recursive Python frame per node); ``tests/test_smt_compile.py`` holds the
+randomized equivalence guard between the two.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping
+from typing import AbstractSet, Dict, List, Mapping, Optional
 
 from repro.smt import terms as T
 
@@ -88,18 +96,21 @@ _OPCODES = {
 
 
 class CompiledTerm:
-    """A term DAG flattened into postorder bytecode.
+    """Term DAGs flattened into one growable postorder bytecode program.
 
     Layout: ``_template`` is the initial slot array (constants prefilled,
     everything else 0); ``_var_loads`` is the variable prelude — tuples of
     ``(slot, name, mask)`` where ``mask`` is the width mask for bitvector
     variables and ``-1`` for booleans (truthiness load); the parallel
-    ``_ops``/``_dest``/``_a1``/``_a2``/``_aux`` tuples hold one instruction
+    ``_ops``/``_dest``/``_a1``/``_a2``/``_aux`` lists hold one instruction
     per interior node in postorder, so every operand slot is written before
-    it is read.
+    it is read.  ``_slot_of`` maps every compiled node to its slot: a root
+    added later appends only the nodes no earlier root reached, and
+    ``_roots`` lists the slots the caller asked for, in the order asked.
     """
 
     __slots__ = (
+        "_slot_of",
         "_template",
         "_var_loads",
         "_ops",
@@ -107,33 +118,47 @@ class CompiledTerm:
         "_a1",
         "_a2",
         "_aux",
-        "_root",
-        "variables",
+        "_roots",
+        "_root_index",
         "var_masks",
     )
 
-    def __init__(self, term: T.Term) -> None:
-        slot_of: Dict[T.Term, int] = {}
-        template = []
-        var_loads = []
-        ops = []
-        dest = []
-        arg1 = []
-        arg2 = []
-        aux = []
-        var_masks: Dict[str, int] = {}
+    def __init__(self, term: Optional[T.Term] = None) -> None:
+        self._slot_of: Dict[T.Term, int] = {}
+        self._template: List[int] = []
+        self._var_loads: List[tuple] = []
+        self._ops: List[int] = []
+        self._dest: List[int] = []
+        self._a1: List[int] = []
+        self._a2: List[int] = []
+        self._aux: list = []
+        self._roots: List[int] = []
+        self._root_index: Dict[T.Term, int] = {}
+        self.var_masks: Dict[str, int] = {}
+        if term is not None:
+            self.add_root(term)
 
+    def add_root(self, term: T.Term) -> int:
+        """Make ``term`` a root of the program; returns its index into
+        :meth:`evaluate_roots`' result (the same index if asked again)."""
+        index = self._root_index.get(term)
+        if index is not None:
+            return index
+        slot_of = self._slot_of
+        template = self._template
         visited = set()
         stack = [(term, False)]
         while stack:
             t, ready = stack.pop()
             if not ready:
-                if t in visited:
+                if t in visited or t in slot_of:
                     continue
                 visited.add(t)
                 stack.append((t, True))
                 stack.extend(
-                    (a, False) for a in reversed(t.args) if a not in visited
+                    (a, False)
+                    for a in reversed(t.args)
+                    if a not in visited and a not in slot_of
                 )
                 continue
             slot = len(template)
@@ -145,8 +170,8 @@ class CompiledTerm:
                 continue
             if op == T.OP_VAR:
                 mask = ((1 << t.width) - 1) if t.is_bv else -1
-                var_loads.append((slot, t.payload, mask))
-                var_masks[t.payload] = mask if mask >= 0 else 1
+                self._var_loads.append((slot, t.payload, mask))
+                self.var_masks[t.payload] = mask if mask >= 0 else 1
                 continue
             opcode = _OPCODES.get(op)
             if opcode is None:  # pragma: no cover - defensive
@@ -176,29 +201,32 @@ class CompiledTerm:
             elif opcode in (_SLT, _SLE):
                 w = t.args[0].width
                 payload = (1 << (w - 1), 1 << w)
-            ops.append(opcode)
-            dest.append(slot)
-            arg1.append(a1)
-            arg2.append(a2)
-            aux.append(payload)
+            self._ops.append(opcode)
+            self._dest.append(slot)
+            self._a1.append(a1)
+            self._a2.append(a2)
+            self._aux.append(payload)
+        index = self._root_index[term] = len(self._roots)
+        self._roots.append(slot_of[term])
+        return index
 
-        self._template = template
-        self._var_loads = tuple(var_loads)
-        self._ops = tuple(ops)
-        self._dest = tuple(dest)
-        self._a1 = tuple(arg1)
-        self._a2 = tuple(arg2)
-        self._aux = tuple(aux)
-        self._root = slot_of[term]
-        self.variables: FrozenSet[str] = frozenset(var_masks)
-        self.var_masks = var_masks
+    @property
+    def variables(self) -> AbstractSet[str]:
+        """Names of every variable some root mentions."""
+        return self.var_masks.keys()
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
-        """Evaluate under ``assignment`` (name -> int; missing vars are 0).
+        """The first root's value under ``assignment`` (name -> int; missing
+        vars are 0): booleans evaluate to 0/1, bitvectors to width-masked
+        ints — the semantics ``tests/treewalk_eval.py`` spells out."""
+        return self._run(assignment)[self._roots[0]]
 
-        Agrees with :func:`repro.smt.terms.evaluate` on every term:
-        booleans evaluate to 0/1, bitvectors to width-masked ints.
-        """
+    def evaluate_roots(self, assignment: Mapping[str, int]) -> List[int]:
+        """Every root's value under ``assignment``, in :meth:`add_root` order."""
+        slots = self._run(assignment)
+        return [slots[root] for root in self._roots]
+
+    def _run(self, assignment: Mapping[str, int]) -> List[int]:
         slots = self._template[:]
         get = assignment.get
         for slot, name, mask in self._var_loads:
@@ -286,7 +314,7 @@ class CompiledTerm:
                     b -= modulus
                 r = 1 if a <= b else 0
             slots[dest[i]] = r
-        return slots[self._root]
+        return slots
 
     @property
     def size(self) -> int:
@@ -310,6 +338,6 @@ def compile_term(term: T.Term) -> CompiledTerm:
 
 
 def evaluate_compiled(term: T.Term, assignment: Mapping[str, int]) -> int:
-    """Drop-in replacement for :func:`terms.evaluate` via the compile cache."""
+    """``term``'s value under ``assignment``, via the compile cache."""
     return compile_term(term).evaluate(assignment)
 

@@ -22,7 +22,22 @@ Implements the standard modern architecture:
 * Luby-sequence restarts and phase saving,
 * solving under *assumptions*, which lets the bit-blaster encode a formula
   once and answer many coverage queries (p4-symbolic poses one query per
-  table entry / branch) without re-encoding.
+  table entry / branch) without re-encoding,
+* a trail that survives between ``solve()`` calls (below).
+
+Assumption levels.  Assumptions are applied as pseudo-decisions, one level
+each, in list order: level ``i <= len(assumptions)`` is the pseudo-decision
+for ``assumptions[i - 1]`` (an empty level if that literal was already
+true).  A ``solve()`` does not start from the root: it keeps the levels
+whose pseudo-decisions are the longest common prefix of the previous
+assumption list and the new one — equal literals at equal positions — and
+cancels only what lies above them, so the queries of one cascade propagate
+only their new literals.  A restart returns to the assumption level, the
+failed-assumption exit leaves the levels it reached, and ``add_clause``
+always returns to the root first, so clause simplification only ever sees
+root facts.  Nothing a caller can observe depends on any of this: verdicts
+are semantic, and proof ``"l"``/``"u"`` lines mean what they meant (a
+learned clause carries the negation of every pseudo-decision it used).
 
 This is the only SAT kernel in the repo.  Its UNSAT answers are checkable
 by something simpler than itself: a log collected through
@@ -135,9 +150,14 @@ class SatSolver:
         # Clauses offered by the encoder (before root simplification) —
         # the clause-economy number benchmark tables compare.
         self.clauses_received = 0
-        # When solving under assumptions that turn out to be unsatisfiable,
-        # this holds the subset of failing assumption literals.
+        # After an UNSAT answer reached through an assumption: the one
+        # assumption literal that was found false at its turn (the clauses
+        # and the assumptions before it imply its negation) — a witness,
+        # not a minimised core.  Empty when the clauses alone are UNSAT.
         self.failed_assumptions: List[int] = []
+        # The previous solve()'s assumptions: levels 1..len(_assumed) of
+        # whatever trail is left are their pseudo-decisions, in order.
+        self._assumed: List[int] = []
         # Test-facing proof sink: an attached list receives, in order,
         # ("a", lits) for every clause offered to add_clause, ("l", lits)
         # for every learned clause after minimisation (units and binaries
@@ -171,15 +191,16 @@ class SatSolver:
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a problem clause. Returns False if the formula became UNSAT.
 
-        Must be called at decision level 0 (i.e. before/between solves).
+        Call it before or between solves; it returns to decision level 0
+        itself, giving up whatever the last solve() left on the trail.
         """
         if self.proof is not None:
             self.proof.append(("a", tuple(lits)))
         if not self._ok:
             return False
         self.clauses_received += 1
-        # A previous solve() may have left a partial assignment on the trail;
-        # clause addition reasons about root-level state only.
+        # A previous solve() leaves its assignment on the trail; clause
+        # addition reasons about root-level state only.
         if self._trail_lim:
             self._cancel_until(0)
         # Simplify: drop duplicate and false literals, detect tautologies.
@@ -579,8 +600,11 @@ class SatSolver:
         """Solve the formula under ``assumptions`` (a list of literals).
 
         Returns True (SAT — read the model via :meth:`model_value`) or
-        False (UNSAT under these assumptions; ``failed_assumptions`` holds a
-        subset of assumptions responsible, when assumptions were used).
+        False (UNSAT under these assumptions; ``failed_assumptions`` then
+        holds the single assumption literal whose negation the clauses and
+        the assumptions listed before it imply, or nothing when no
+        assumption was involved).  List what successive calls share first:
+        the common prefix of two lists is not propagated again.
         """
         assumptions = list(assumptions)
         sat = self._search(assumptions)
@@ -592,11 +616,14 @@ class SatSolver:
         self.failed_assumptions = []
         if not self._ok:
             return False
-        self._cancel_until(0)
-        conflict = self._propagate()
-        if conflict is not None:
-            self._ok = False
-            return False
+        # Keep the levels this query shares with the previous one (see the
+        # module docstring); add_clause left none if the clauses changed.
+        keep = 0
+        limit = min(len(self._trail_lim), len(assumptions), len(self._assumed))
+        while keep < limit and self._assumed[keep] == assumptions[keep]:
+            keep += 1
+        self._cancel_until(keep)
+        self._assumed = assumptions
 
         restart_count = 0
         conflict_budget = 100 * _luby(restart_count + 1)
@@ -639,12 +666,12 @@ class SatSolver:
                 self._decay_activities()
             else:
                 if conflicts_here >= conflict_budget:
-                    # Restart (but keep assumptions intact by redoing them).
+                    # Restart: back to the assumption level.
                     self.restarts += 1
                     restart_count += 1
                     conflict_budget = 100 * _luby(restart_count + 1)
                     conflicts_here = 0
-                    self._cancel_until(0)
+                    self._cancel_until(len(assumptions))
                     self._reduce_db()
                     continue
                 # Apply pending assumptions as pseudo-decisions.
@@ -663,7 +690,6 @@ class SatSolver:
                         # the negation of this assumption: UNSAT under the
                         # assumption set.
                         self.failed_assumptions = [lit]
-                        self._cancel_until(0)
                         return False
                     next_lit = lit
                 else:

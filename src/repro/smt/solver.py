@@ -11,7 +11,7 @@ per-entry coverage goals tractable.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.smt import terms as T
 from repro.smt.bitblast import StructuralBitBlaster
@@ -29,7 +29,7 @@ class Model(Mapping[str, int]):
     """A satisfying assignment: variable name -> integer value.
 
     Bool variables map to 0/1.  Variables never mentioned in the formula are
-    absent; :func:`repro.smt.terms.evaluate` treats missing names as 0.
+    absent; evaluation (:mod:`repro.smt.compile`) treats missing names as 0.
     """
 
     def __init__(self, values: Dict[str, int]) -> None:
@@ -76,6 +76,7 @@ class Solver:
         self._assertions: List[T.Term] = []
         self._last_result: Optional[Result] = None
         self._var_sorts: Dict[str, T.Sort] = {}
+        self._seen_assumptions: Set[T.Term] = set()
 
     @property
     def proof(self):
@@ -126,7 +127,9 @@ class Solver:
                 return self._last_result
             if a is T.TRUE:
                 continue
-            self._var_sorts.update(T.free_variables(a))
+            if a not in self._seen_assumptions:  # sorts are recorded once
+                self._seen_assumptions.add(a)
+                self._var_sorts.update(T.free_variables(a))
             assumption_lits.append(self._blaster.literal_for(a))
         sat = self._sat.solve(assumption_lits)
         self._last_result = Result.SAT if sat else Result.UNSAT

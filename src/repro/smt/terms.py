@@ -10,16 +10,15 @@ Two sorts exist:
 * ``BVSort(width)`` — fixed-width unsigned bitvectors (two's complement for
   the signed comparisons).
 
-The module also provides :func:`evaluate`, a direct concrete interpreter of
-terms under an assignment.  The solver never uses it to decide
-satisfiability; it exists so tests can independently check that models
-returned by the SAT pipeline really satisfy the original formula.
+Concrete evaluation lives in :mod:`repro.smt.compile`; the recursive
+reference semantics it is tested against is ``tests/treewalk_eval.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 
@@ -532,114 +531,17 @@ def lshr(term: Term, amount: int) -> Term:
     return _mk_bv(OP_BVLSHR, (term,), term.width, payload=amount)
 
 
-# ----------------------------------------------------------------------
-# Concrete evaluation
-# ----------------------------------------------------------------------
-
-
-def _to_signed(value: int, width: int) -> int:
-    if value >= 1 << (width - 1):
-        return value - (1 << width)
-    return value
-
-
-def evaluate(term: Term, assignment: Mapping[str, int]) -> int:
-    """Evaluate ``term`` under ``assignment`` (variable name -> int value).
-
-    Booleans evaluate to 0/1.  Missing variables default to 0, matching the
-    solver's model completion for don't-care variables.
-    """
-    cache: Dict[Term, int] = {}
-
-    def go(t: Term) -> int:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        op = t.op
-        if op == OP_CONST:
-            result = t.payload
-        elif op == OP_VAR:
-            result = assignment.get(t.payload, 0)
-            if t.is_bv:
-                result &= (1 << t.width) - 1
-            else:
-                result = 1 if result else 0
-        elif op == OP_NOT:
-            result = 1 - go(t.args[0])
-        elif op == OP_AND:
-            result = 1 if all(go(a) for a in t.args) else 0
-        elif op == OP_OR:
-            result = 1 if any(go(a) for a in t.args) else 0
-        elif op == OP_XOR:
-            result = go(t.args[0]) ^ go(t.args[1])
-        elif op == OP_EQ:
-            result = 1 if go(t.args[0]) == go(t.args[1]) else 0
-        elif op == OP_ITE:
-            result = go(t.args[1]) if go(t.args[0]) else go(t.args[2])
-        elif op == OP_BVNOT:
-            result = ~go(t.args[0]) & ((1 << t.width) - 1)
-        elif op == OP_BVAND:
-            result = go(t.args[0]) & go(t.args[1])
-        elif op == OP_BVOR:
-            result = go(t.args[0]) | go(t.args[1])
-        elif op == OP_BVXOR:
-            result = go(t.args[0]) ^ go(t.args[1])
-        elif op == OP_BVADD:
-            result = (go(t.args[0]) + go(t.args[1])) & ((1 << t.width) - 1)
-        elif op == OP_BVSUB:
-            result = (go(t.args[0]) - go(t.args[1])) & ((1 << t.width) - 1)
-        elif op == OP_BVNEG:
-            result = (-go(t.args[0])) & ((1 << t.width) - 1)
-        elif op == OP_BVMUL:
-            result = (go(t.args[0]) * go(t.args[1])) & ((1 << t.width) - 1)
-        elif op == OP_BVSHL:
-            result = (go(t.args[0]) << t.payload) & ((1 << t.width) - 1)
-        elif op == OP_BVLSHR:
-            result = go(t.args[0]) >> t.payload
-        elif op == OP_CONCAT:
-            result = 0
-            for part in t.args:
-                result = (result << part.width) | go(part)
-        elif op == OP_EXTRACT:
-            hi, lo = t.payload
-            result = (go(t.args[0]) >> lo) & ((1 << (hi - lo + 1)) - 1)
-        elif op == OP_ZEXT:
-            result = go(t.args[0])
-        elif op == OP_SEXT:
-            child = t.args[0]
-            val = go(child)
-            sign = (val >> (child.width - 1)) & 1
-            if sign:
-                val |= ((1 << t.payload) - 1) << child.width
-            result = val
-        elif op == OP_ULT:
-            result = 1 if go(t.args[0]) < go(t.args[1]) else 0
-        elif op == OP_ULE:
-            result = 1 if go(t.args[0]) <= go(t.args[1]) else 0
-        elif op == OP_SLT:
-            w = t.args[0].width
-            result = 1 if _to_signed(go(t.args[0]), w) < _to_signed(go(t.args[1]), w) else 0
-        elif op == OP_SLE:
-            w = t.args[0].width
-            result = 1 if _to_signed(go(t.args[0]), w) <= _to_signed(go(t.args[1]), w) else 0
-        else:  # pragma: no cover - defensive
-            raise NotImplementedError(f"evaluate: unknown op {op}")
-        cache[t] = result
-        return result
-
-    return go(term)
-
-
 # Memoised free-variable sets.  Terms are hash-consed and immutable, so a
 # term's variable set never changes; the packet generator queries the same
 # (large) goal condition several times per goal, and across goals that share
 # trace subterms, which makes the repeated DAG walks pure waste.  Keyed on
 # term identity; entries live as long as the term cache itself.
-_FREE_VARS_CACHE: Dict["Term", Dict[str, Sort]] = {}
+_FREE_VARS_CACHE: Dict["Term", Mapping[str, Sort]] = {}
 
 
-def free_variables(term: Term) -> Dict[str, Sort]:
-    """All free variables in ``term`` (name -> sort)."""
+def free_variables(term: Term) -> Mapping[str, Sort]:
+    """All free variables in ``term`` (name -> sort), as a read-only view
+    of the memoised mapping."""
     cached = _FREE_VARS_CACHE.get(term)
     if cached is None:
         out: Dict[str, Sort] = {}
@@ -653,10 +555,8 @@ def free_variables(term: Term) -> Dict[str, Sort]:
             if t.op == OP_VAR:
                 out[t.payload] = t.sort
             stack.extend(t.args)
-        _FREE_VARS_CACHE[term] = out
-        cached = out
-    # Callers may mutate the result; hand out a copy to keep the cache safe.
-    return dict(cached)
+        cached = _FREE_VARS_CACHE[term] = MappingProxyType(out)
+    return cached
 
 
 # Structural digests.  Unlike ``hash()`` (randomised per process by

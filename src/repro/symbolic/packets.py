@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -20,7 +21,7 @@ from repro.bmv2.packet import Packet
 from repro.p4.ast import P4Program
 from repro.smt import Result, Solver
 from repro.smt import terms as T
-from repro.smt.compile import compile_term
+from repro.smt.compile import CompiledTerm, compile_term
 from repro.smt.minmodel import descend_bits
 from repro.smt.pool import MISS, SolverPool
 from repro.symbolic.coverage import CoverageGoal, CoverageMode, goals_for_mode
@@ -135,9 +136,12 @@ class PacketGenerator:
         # (profile, constrained-variable-set) — goals over the same table
         # constrain the same variables, so the conjunctions rebuild once.
         self._refinement_cache: Dict[tuple, tuple] = {}
-        # Concrete input assignments of already-generated packets, for
-        # subsumption checks (keyed by packet object identity).
-        self._assignment_cache: Dict[int, Dict[str, int]] = {}
+        # Subsumption: one evaluation program per parser profile, holding
+        # every goal condition asked about as a root, and per packet object
+        # (keyed by identity; the entry holds the packet, so its id cannot be
+        # reused) the assignment it induces and the root values under it.
+        self._programs: Dict[str, CompiledTerm] = defaultdict(CompiledTerm)
+        self._packet_memo: Dict[int, list] = {}
 
     # ------------------------------------------------------------------
     def executions(self) -> List[ProfileExecution]:
@@ -195,14 +199,15 @@ class PacketGenerator:
                 self, mode=mode, custom_goals=custom_goals, workers=workers,
                 goal_cache=goal_cache,
             )
+        from repro.symbolic.cache import CachedGoal  # imports this module
+
         start = time.perf_counter()
         stats = GenerationStats()
-        # Assignment memos are keyed by packet object identity; stale ids
-        # from a previous run's (collected) packets must not alias.
-        self._assignment_cache.clear()
+        self._packet_memo.clear()  # a previous run's packets: memory only
         executions = self.executions()
         goals = goals_for_mode(executions, mode, custom_goals)
         stats.goals_total = len(goals)
+        self.register_goals(goals, executions)
         effort_before = self._solver_effort()
         packets: List[GeneratedPacket] = []
         uncovered: List[str] = []
@@ -225,8 +230,6 @@ class PacketGenerator:
                 packets.append(generated)
                 stats.goals_covered += 1
                 if key is not None:
-                    from repro.symbolic.cache import CachedGoal
-
                     goal_cache.store_goal(
                         key, CachedGoal(goal=goal.name, packet=generated)
                     )
@@ -239,8 +242,6 @@ class PacketGenerator:
                 uncovered.append(goal.name)
                 stats.goals_unsatisfiable += 1
             if key is not None:
-                from repro.symbolic.cache import CachedGoal
-
                 goal_cache.store_goal(key, CachedGoal(goal=goal.name, packet=generated))
         self._account_effort(stats, effort_before)
         stats.elapsed_seconds = time.perf_counter() - start
@@ -329,15 +330,18 @@ class PacketGenerator:
             # guard's negations) — divergences on *forwarded* packets are
             # observable, dropped ones often are not.
             background, soft_dst = self._refinements(execution, condition)
+            # Each attempt lists what it shares with the next one first: the
+            # SAT kernel keeps the propagated levels of a common assumption
+            # prefix from one check to the next.
             attempts = [
                 # Canonical forwarding context: the first valid port (whose
                 # VRF owns the background route space) plus a routable
                 # destination — maximises the observability of divergences.
-                (condition, port_term.eq(self.valid_ports[0]), background, soft_dst),
+                (condition, background, port_term.eq(self.valid_ports[0]), soft_dst),
                 # Same context for goals that pin the destination themselves.
-                (condition, port_term.eq(self.valid_ports[0]), background),
+                (condition, background, port_term.eq(self.valid_ports[0])),
                 # Port rotation for port-qualified behaviour.
-                (condition, port_term.eq(preferred_port), background),
+                (condition, background, port_term.eq(preferred_port)),
                 (condition, background),
                 (condition,),
             ]
@@ -577,6 +581,20 @@ class PacketGenerator:
     # ------------------------------------------------------------------
     # Coverage subsumption
     # ------------------------------------------------------------------
+    def register_goals(
+        self, goals: Sequence[CoverageGoal], executions: Sequence[ProfileExecution]
+    ) -> None:
+        """Compile every goal condition into its profile's program up front,
+        so each packet is evaluated over the finished program once.  A
+        condition first seen by :meth:`subsume_goal` still works: the program
+        grows and the packets seen before are evaluated again."""
+        for execution in executions:
+            program = self._programs[execution.profile.name]
+            for goal in goals:
+                condition = goal.condition(execution)
+                if condition is not None and condition is not T.FALSE:
+                    program.add_root(condition)
+
     def subsume_goal(
         self,
         goal: CoverageGoal,
@@ -585,30 +603,32 @@ class PacketGenerator:
     ) -> Optional[GeneratedPacket]:
         """A prior packet that already witnesses ``goal``, or None.
 
-        Before paying a solver cascade, evaluate the goal condition
-        concretely under each already-generated packet of the same parser
-        profile (the profile constraints hold for those by construction).
-        A hit covers the goal for free; the witness is re-labelled so
-        downstream replay still attributes behaviour per goal.
+        Before paying a solver cascade, look up the goal condition's value
+        under each already-generated packet of the same parser profile (the
+        profile constraints hold for those by construction).  A hit covers
+        the goal for free; the witness is re-labelled so downstream replay
+        still attributes behaviour per goal.
         """
         for execution in executions:
             condition = goal.condition(execution)
             if condition is None or condition is T.FALSE:
                 continue
-            # Compiled once per condition (process-wide cache) and then
-            # evaluated in the flat bytecode loop against every candidate
-            # witness — this is the hottest concrete-evaluation path.
-            compiled = compile_term(condition)
-            needed = compiled.variables
+            name = execution.profile.name
+            program = self._programs[name]
+            root = program.add_root(condition)
             for prior in packets:
-                if prior.profile != execution.profile.name:
+                if prior.profile != name:
                     continue
-                assignment = self._packet_assignment(prior, execution)
-                # Concrete evaluation is only a proof when every variable
-                # the condition mentions has a value from the packet.
-                if not needed <= assignment.keys():
-                    continue
-                if compiled.evaluate(assignment):
+                memo = self._packet_memo.get(id(prior.packet))
+                if memo is None:
+                    memo = [prior.packet, self._packet_assignment(prior, execution), ()]
+                    self._packet_memo[id(prior.packet)] = memo
+                _packet, assignment, values = memo
+                if root >= len(values):
+                    values = memo[2] = program.evaluate_roots(assignment)
+                # A true slot is only a proof when every variable the
+                # condition mentions has a value from the packet.
+                if values[root] and T.free_variables(condition).keys() <= assignment.keys():
                     return GeneratedPacket(
                         goal=goal.name,
                         profile=prior.profile,
@@ -617,13 +637,11 @@ class PacketGenerator:
                     )
         return None
 
+    @staticmethod
     def _packet_assignment(
-        self, generated: GeneratedPacket, execution: ProfileExecution
+        generated: GeneratedPacket, execution: ProfileExecution
     ) -> Dict[str, int]:
         """The variable assignment a generated packet induces."""
-        cached = self._assignment_cache.get(id(generated.packet))
-        if cached is not None:
-            return cached
         assignment: Dict[str, int] = {}
         for path, term in execution.inputs.items():
             if term.is_const:
@@ -632,7 +650,6 @@ class PacketGenerator:
                 assignment[term.name] = generated.ingress_port
             elif path in generated.packet.fields:
                 assignment[term.name] = generated.packet.fields[path]
-        self._assignment_cache[id(generated.packet)] = assignment
         return assignment
 
     # ------------------------------------------------------------------

@@ -97,6 +97,8 @@ def generate_parallel(
     executions = generator.executions()
     goals = goals_for_mode(executions, mode, custom_goals)
     stats.goals_total = len(goals)
+    # Before the fork: every worker inherits the finished programs.
+    generator.register_goals(goals, executions)
 
     # Per-goal cache pass (parent only): answered goals never reach a worker.
     outcomes: Dict[int, Optional[GeneratedPacket]] = {}

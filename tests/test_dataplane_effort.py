@@ -1,8 +1,8 @@
-"""Deterministic effort gates for the data-plane oracle (call counts, no clocks).
+"""Deterministic effort gates for the data plane (call counts, no clocks).
 
-The packet set is the benchmark's ``symbolic_cold`` one — ToR, 150
+The state is the benchmark's ``symbolic_cold`` one — ToR, 150
 production-like entries, run seed 1 — so the ratios asserted here are the
-ones ``bmv2.simulate_s`` is made of.
+ones ``bmv2.simulate_s`` and ``symbolic.solve_s`` are made of.
 """
 
 import random
@@ -17,9 +17,14 @@ from repro.p4.ast import ExecutionPlan
 from repro.p4.p4info import build_p4info
 from repro.p4.programs import build_tor_program
 from repro.p4rt.messages import Update, UpdateType, WriteRequest
-from repro.switch import ReferenceSwitch
+from repro.smt.compile import CompiledTerm
+from repro.switch import PinsSwitchStack, ReferenceSwitch
+from repro.switchv import SwitchVHarness
 from repro.symbolic import CoverageMode, PacketGenerator
+from repro.symbolic.cache import PacketCache
 from repro.workloads import production_like_entries
+
+from tests.test_smt_compile import _dag_size
 
 
 class Counters:
@@ -157,3 +162,49 @@ def test_the_program_is_walked_once_for_every_client():
             assert program.field_width("ipv4.dst_addr") == 32
             assert "meta.vrf_id" in program.all_field_paths()
     assert built == [program.name]
+
+
+def test_generation_compiles_and_propagates_shared_work_once(tor150, monkeypatch):
+    """The ``symbolic_cold`` cycle, as the benchmark runs it: one program per
+    parser profile serves all of subsumption, each packet is evaluated over
+    it once, and the checks of a goal's cascade propagate only what differs
+    from the check before.  Queries, clauses and conflicts are the
+    benchmark's exact-repeat counters: the saving is in how the answers are
+    reached, not in which are asked for."""
+    program, _p4info, entries, _state, _packets = tor150
+    constructed, root_passes, registered = [], [], []
+    for cls, name, sink in (
+        (CompiledTerm, "__init__", constructed),
+        (CompiledTerm, "evaluate_roots", root_passes),
+        (PacketGenerator, "register_goals", registered),
+    ):
+        def wrapper(self, *args, _wrapped=getattr(cls, name), _sink=sink):
+            _sink.append((self, *args))
+            return _wrapped(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    harness = SwitchVHarness(program, PinsSwitchStack(program), cache=PacketCache())
+    stats = harness.validate_data_plane(entries).data_plane
+
+    assert (stats.goals_total, stats.goals_subsumed, stats.solver_queries) == (164, 9, 537)
+    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (6253, 48723, 781)
+    assert stats.sat_propagations <= 450_000  # 807,922 when every check began at the root
+
+    (generator, goals, executions), = registered
+    solved = stats.goals_total - stats.goals_subsumed
+    # One program per profile plus one formula per solved goal (784 when
+    # subsumption compiled every (goal, profile) condition on its own).
+    assert len(constructed) <= 2 * (len(executions) + solved)
+    programs = list(generator._programs.values())
+    assert len(programs) == len(executions)
+    # Every node a profile's goal conditions reach is compiled once (213 k
+    # slots for these few thousand terms, one program per condition).
+    reachable = sum(
+        _dag_size(*(c for goal in goals if (c := goal.condition(execution)) is not None))
+        for execution in executions
+    )
+    compiled = sum(p.size for p in programs)
+    assert 1000 < compiled <= reachable
+    # One pass per packet that was ever a candidate, none per goal.
+    assert 0 < len(root_passes) <= 2 * stats.goals_covered

@@ -1,11 +1,12 @@
 """Randomized equivalence guard: compiled evaluation vs the tree-walk.
 
 ``repro.smt.compile`` re-implements concrete term semantics as postorder
-bytecode; ``terms.evaluate`` stays the independent reference.  These tests
-generate random term DAGs covering every operator and a spread of widths
-(seeded, deterministic) and assert the two evaluators agree bit-for-bit —
-including on missing variables, over-width assignment values, and truthy
-boolean inputs.
+bytecode; ``tests/treewalk_eval.py`` stays the independent reference.
+These tests generate random term DAGs covering every operator and a spread
+of widths (seeded, deterministic) and assert the two evaluators agree
+bit-for-bit — including on missing variables, over-width assignment values,
+and truthy boolean inputs — for one-root programs and for programs that
+grow root by root.
 """
 
 import random
@@ -14,6 +15,8 @@ import pytest
 
 from repro.smt import terms as T
 from repro.smt.compile import CompiledTerm, compile_term, evaluate_compiled
+
+from tests.treewalk_eval import evaluate
 
 WIDTHS = (1, 2, 3, 4, 7, 8, 9, 12, 16, 17, 32, 33, 48, 64, 65, 128)
 
@@ -118,7 +121,7 @@ def test_random_bool_terms_agree(seed):
         compiled = compile_term(term)
         for _ in range(4):
             assignment = _random_assignment(rng, term)
-            assert compiled.evaluate(assignment) == T.evaluate(term, assignment)
+            assert compiled.evaluate(assignment) == evaluate(term, assignment)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -131,7 +134,7 @@ def test_random_bv_terms_agree(seed):
         for _ in range(4):
             assignment = _random_assignment(rng, term)
             got = compiled.evaluate(assignment)
-            want = T.evaluate(term, assignment)
+            want = evaluate(term, assignment)
             assert got == want
             assert got == got & ((1 << width) - 1)
 
@@ -178,7 +181,7 @@ def test_sext_sign_cases():
     term = T.sext(x, 4)
     compiled = compile_term(term)
     for value in range(16):
-        assert compiled.evaluate({"x": value}) == T.evaluate(term, {"x": value})
+        assert compiled.evaluate({"x": value}) == evaluate(term, {"x": value})
     assert compiled.evaluate({"x": 0x8}) == 0xF8
     assert compiled.evaluate({"x": 0x7}) == 0x07
 
@@ -195,7 +198,7 @@ def test_concat_ordering_msb_first():
     term = T.concat(hi, lo)
     compiled = compile_term(term)
     assert compiled.evaluate({"hi": 0xA, "lo": 0x5C}) == 0xA5C
-    assert compiled.evaluate({"hi": 0xA, "lo": 0x5C}) == T.evaluate(
+    assert compiled.evaluate({"hi": 0xA, "lo": 0x5C}) == evaluate(
         term, {"hi": 0xA, "lo": 0x5C}
     )
 
@@ -224,3 +227,67 @@ def test_compiled_term_direct_construction_matches_cache():
     direct = CompiledTerm(term)
     assert direct.evaluate({"x": 4}) == 1
     assert direct.evaluate({"x": 5}) == 0
+
+
+# ----------------------------------------------------------------------
+# Multi-root programs
+# ----------------------------------------------------------------------
+
+
+def _dag_size(*terms):
+    seen = set()
+    stack = list(terms)
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(t.args)
+    return len(seen)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_every_root_of_a_growing_program_agrees_with_the_tree_walk(seed):
+    rng = random.Random(3000 + seed)
+    program = CompiledTerm()
+    roots = []
+    for _ in range(12):
+        # Grow between evaluations, re-offering an old root now and then.
+        term = rng.choice(roots) if roots and rng.random() < 0.2 else (
+            _random_bool(rng, depth=3) if rng.random() < 0.5
+            else _random_bv(rng, depth=3, width=rng.choice(WIDTHS))
+        )
+        index = program.add_root(term)
+        if term in roots:
+            assert index == roots.index(term)
+        else:
+            assert index == len(roots)
+            roots.append(term)
+        assert program.size == _dag_size(*roots)  # shared nodes compiled once
+        assignment = {}
+        for root in roots:
+            assignment.update(_random_assignment(rng, root))
+        assert program.evaluate_roots(assignment) == [evaluate(r, assignment) for r in roots]
+        assert program.evaluate(assignment) == evaluate(roots[0], assignment)
+    assert program.variables == set().union(*(T.free_variables(r) for r in roots))
+
+
+def test_a_later_root_appends_only_what_no_earlier_root_reached():
+    x = T.bv_var("x", 16)
+    shared = (x + 1) * 3
+    program = CompiledTerm(shared.eq(5))  # x, 1, x+1, 3, shared, 5, eq
+    assert program.size == 7
+    assert program.add_root(shared.ult(9)) == 1  # 9, ult
+    assert program.size == 9
+    assert program.add_root(shared) == 2  # an interior node: nothing new
+    assert program.size == 9
+    assert program.evaluate_roots({"x": 0}) == [0, 1, 3]
+    assert program.evaluate({"x": 0}) == 0  # the first root
+
+
+def test_free_variables_hands_out_a_read_only_view():
+    term = T.bv_var("x", 8).eq(T.bv_var("y", 8))
+    variables = T.free_variables(term)
+    assert dict(variables) == {"x": T.BVSort(8), "y": T.BVSort(8)}
+    assert T.free_variables(term) is variables  # the memo itself, not a copy
+    with pytest.raises(TypeError):
+        variables["z"] = T.BoolSort()

@@ -3,9 +3,10 @@
 One CNF pipeline, judged against ground truth instead of a sibling:
 
 * *certified generation* — each generated packet's field assignment
-  satisfies ``constraints ∧ goal condition`` under the ``T.evaluate`` tree
-  walk, and each uncovered goal is re-posed per profile on a fresh
-  proof-logging solver whose UNSAT :mod:`tests.rup` replays;
+  satisfies ``constraints ∧ goal condition`` under the
+  ``tests/treewalk_eval.py`` tree walk, and each uncovered goal is re-posed
+  per profile on a fresh proof-logging solver whose UNSAT :mod:`tests.rup`
+  replays;
 * *warmth independence* — a warm :class:`SolverPool` and private cold
   solvers yield byte-identical packets, uncovered goals, incidents and
   fuzzer request streams: every artifact is a pure function of the formula.
@@ -29,6 +30,7 @@ from repro.workloads import EntryBuilder, baseline_entries, production_like_entr
 
 from tests.rup import check_proof
 from tests.test_symbolic import decode_state
+from tests.treewalk_eval import evaluate
 
 MODELS = ["toy", "tor", "wan", "cerberus"]
 # Per model at `_entries_for`: (packets re-evaluated, UNSAT answers certified).
@@ -86,7 +88,7 @@ def _certify(generator, result):
         formula = T.and_(
             *execution.constraints, goals[generated.goal].condition(execution)
         )
-        assert T.evaluate(formula, assignment) == 1, generated
+        assert evaluate(formula, assignment) == 1, generated
     certified = 0
     for execution in executions.values():
         conditions = [goals[name].condition(execution) for name in result.uncovered]

@@ -2,10 +2,11 @@
 
 There is one encoder and one kernel, so nothing here compares
 implementations.  Verdicts are judged by exhaustive enumeration with the
-``T.evaluate`` tree walk (random formulas are kept to 14 variable bits so
-that is cheap), SAT models are re-evaluated on the original term, and UNSAT
-answers are replayed by the forward-RUP checker in :mod:`tests.rup`.  (Test
-ids predate the second pipeline's deletion; kept so the floor stays put.)
+``tests/treewalk_eval.py`` tree walk (random formulas are kept to 14
+variable bits so that is cheap), SAT models are re-evaluated on the
+original term, and UNSAT answers are replayed by the forward-RUP checker in
+:mod:`tests.rup`.  (Test ids predate the second pipeline's deletion; kept
+so the floor stays put.)
 """
 
 import itertools
@@ -24,6 +25,7 @@ from tests import test_smt_compile
 from tests.rup import check_proof
 from tests.test_smt_compile import _random_bool, _random_bv
 from tests.test_symbolic import decode_state
+from tests.treewalk_eval import evaluate
 
 MAX_BITS = 14
 
@@ -54,7 +56,7 @@ def _least_model(formula):
     names = sorted(domains)
     for values in itertools.product(*(domains[n] for n in names)):
         assignment = dict(zip(names, values, strict=True))
-        if T.evaluate(formula, assignment):
+        if evaluate(formula, assignment):
             return assignment
     return None
 
@@ -66,7 +68,7 @@ def _check(solver, asserted, *assumptions):
     assert (result is Result.SAT) == (_least_model(formula) is not None), formula
     if result is Result.SAT:
         model = dict(solver.model())
-        assert T.evaluate(formula, model) == 1, f"{model} falsifies {formula!r}"
+        assert evaluate(formula, model) == 1, f"{model} falsifies {formula!r}"
     return result
 
 
@@ -197,7 +199,7 @@ class TestClauseEconomy:
         s = Solver(simplify_terms=False)
         s.add(f)
         assert s.check() is Result.SAT
-        assert T.evaluate(f, dict(s.model())) == 1
+        assert evaluate(f, dict(s.model())) == 1
         assert s.stats["gates_shared"] == 16
         # 32 bits, TRUE, the 16 per-bit ANDs once (not twice), eq, ne, root.
         assert s.stats["sat_vars"] == 32 + 1 + 16 + 3

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.smt import terms as T
 from repro.smt.simplify import simplify
 
+from tests.treewalk_eval import evaluate
+
 
 X = T.bv_var("x", 8)
 Y = T.bv_var("y", 8)
@@ -88,4 +90,4 @@ class TestEquivalence:
     @given(random_term(), st.integers(0, 255), st.integers(0, 255))
     def test_simplify_preserves_semantics(self, term, x, y):
         env = {"x": x, "y": y}
-        assert T.evaluate(simplify(term), env) == T.evaluate(term, env)
+        assert evaluate(simplify(term), env) == evaluate(term, env)

@@ -9,6 +9,7 @@ from repro.smt import terms as T
 from repro.smt.sat import SatSolver, neg_lit, pos_lit
 
 from tests.rup import ProofError, check_proof
+from tests.treewalk_eval import evaluate
 
 
 class TestSatSolver:
@@ -299,7 +300,7 @@ class TestSolverProperties:
         s.add(formula)
         result = s.check()
         truly_sat = any(
-            T.evaluate(formula, {"hx": hx, "hy": hy, "hp": hp})
+            evaluate(formula, {"hx": hx, "hy": hy, "hp": hp})
             for hx in range(0, 64, 7)
             for hy in range(0, 64, 7)
             for hp in (0, 1)
@@ -310,7 +311,7 @@ class TestSolverProperties:
         if result is Result.UNSAT:
             # UNSAT claims get the full exhaustive treatment.
             assert not any(
-                T.evaluate(formula, {"hx": hx, "hy": hy, "hp": hp})
+                evaluate(formula, {"hx": hx, "hy": hy, "hp": hp})
                 for hx in range(64)
                 for hy in range(64)
                 for hp in (0, 1)
@@ -333,7 +334,7 @@ class TestSolverProperties:
             "or": x | y,
             "xor": x ^ y,
         }[op]
-        expected = T.evaluate(expr, {"bbx": a, "bby": b})
+        expected = evaluate(expr, {"bbx": a, "bby": b})
         s = Solver()
         s.add(x.eq(a), y.eq(b))
         assert s.check() is Result.SAT

