@@ -21,7 +21,7 @@ from repro.fuzzer.oracle import Oracle
 from repro.fuzzer.pipeline import BatchOutcome, PipelineStats, WriteScheduler
 from repro.p4.p4info import P4Info
 from repro.p4rt.channel import ChannelError
-from repro.p4rt.messages import ReadRequest, Update, WriteRequest
+from repro.p4rt.messages import ReadRequest, Update
 from repro.p4rt.service import P4RuntimeService
 from repro.switchv.report import Incident, IncidentKind, IncidentLog
 
@@ -43,21 +43,11 @@ class FuzzerConfig:
     # lowering frequency trades confidence for speed.
     read_back_every: int = 1
     # §4.2-sound pipelining (repro.fuzzer.pipeline): keep up to this many
-    # mutually independent batches in flight per window.  1 = the
-    # sequential loop; >1 overlaps transport waits and coalesces
-    # read-backs to one per window.
+    # mutually independent batches in flight per window.  1 = one batch
+    # at a time (write, read back, judge); >1 overlaps transport waits,
+    # coalesces read-backs to one per window, and generates the next waves
+    # while a window is in flight.
     pipeline_depth: int = 1
-    # Overlap next-wave generation with the wave's last in-flight window.
-    # None = automatic (on at depth > 1).  Generation then sees the oracle
-    # state one window behind — sound (the window's batches are
-    # independent of anything generated against the pre-window state would
-    # conflict-check against), but the update stream differs from the
-    # sequential loop's; disable for strict stream-equivalence runs.
-    overlap_generation: Optional[bool] = None
-    # Testing knob: route depth<=1 campaigns through the windowed
-    # scheduler anyway, to assert the depth-1 pipeline reproduces the
-    # sequential loop byte for byte.
-    force_pipeline: bool = False
     # Greybox coverage feedback (repro.fuzzer.feedback): score every judged
     # batch against the model's symbolic trace and bias table/mutation
     # selection toward uncovered regions.  Needs the P4 model —
@@ -117,11 +107,11 @@ class FuzzResult:
     final_entries: List = field(default_factory=list)
     modified_entries: List = field(default_factory=list)
     # Modeled transport wait the campaign experienced (injected delays,
-    # retry backoff) under its actual schedule: per-RPC sums for the
-    # sequential loop, per-window makespans for the pipelined one.
+    # retry backoff) under its actual schedule: per-window makespans, which
+    # equal per-RPC sums at depth 1.
     transport_wait_seconds: float = 0.0
-    # Windowed-scheduler counters when the pipelined loop ran.
-    pipeline: Optional[PipelineStats] = None
+    # The windowed scheduler's counters.
+    pipeline: PipelineStats = field(default_factory=PipelineStats)
     # Coverage-feedback series when the campaign tracked coverage
     # (coverage_guided or track_coverage).
     coverage: Optional[CoverageProgress] = None
@@ -230,17 +220,7 @@ class P4Fuzzer:
             result.elapsed_seconds = time.perf_counter() - start
             return result
 
-        if self.config.pipeline_depth > 1 or self.config.force_pipeline:
-            self._run_pipelined(result)
-        else:
-            for write_index in range(self.config.num_writes):
-                updates = self._generate_wave(result)
-                if not updates:
-                    continue
-                batches = make_batches(self.p4info, updates, self.config.updates_per_write)
-                for batch in batches:
-                    self._send_batch(batch, write_index, result)
-                result.writes_sent += len(batches)
+        self._campaign(result)
         result.elapsed_seconds = time.perf_counter() - start
         if self.feedback is not None:
             result.coverage = self.feedback.progress()
@@ -306,106 +286,6 @@ class P4Fuzzer:
             updates.append(update)
         return updates
 
-    def _send_batch(self, batch: List[Update], write_index: int, result: FuzzResult) -> None:
-        request = WriteRequest(updates=tuple(batch))
-        try:
-            response = self.switch.write(request)
-        except ChannelError as exc:
-            # The transport gave up (retries exhausted): a flake, not a
-            # model incident.  The batch's outcome is unknown, so resync
-            # the oracle from a read-back instead of projecting.
-            result.transport_wait_seconds += self._last_write_wait()
-            result.transport.flakes += 1
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.TRANSPORT_FLAKE,
-                    summary=f"write abandoned by the transport: {type(exc).__name__}",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            if not self._resync_oracle(result):
-                # The abandoned write may have been applied and even the
-                # recovery read-back failed: the oracle's view is stale
-                # until a read-back lands.
-                self._needs_resync = True
-            return
-        except Exception as exc:  # a crash is itself a finding
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.SWITCH_UNRESPONSIVE,
-                    summary=f"switch raised {type(exc).__name__} during write",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            return
-        result.transport_wait_seconds += self._last_write_wait()
-        result.updates_sent += len(batch)
-
-        for update, status in zip(batch, response.statuses, strict=False):
-            if status.ok and update.type.value == "MODIFY":
-                self._modified_keys.add(update.entry.match_key())
-
-        # An ambiguous outcome (some attempt of this write may or may not
-        # have been applied before the one that answered) makes per-update
-        # status judging unsound: a re-applied INSERT legitimately answers
-        # ALREADY_EXISTS, a re-applied DELETE answers NOT_FOUND.  A stale
-        # oracle (an earlier recovery read-back failed) is unsound the same
-        # way: the expected state the statuses would be judged against may
-        # not include an abandoned-but-applied batch.  Per the oracle's
-        # §4.3 design, read the state back and adopt it instead of
-        # reporting phantom incidents.
-        info = getattr(self.switch, "last_write_info", None)
-        if self._needs_resync or (info is not None and info.ambiguous):
-            result.transport.ambiguous_batches += 1
-            if self._resync_oracle(result):
-                result.transport.resyncs += 1
-                self._needs_resync = False
-            else:
-                self._needs_resync = True
-            self.generator.state.replace_all(self.oracle.installed_entries())
-            return
-
-        # Without a fresh read-back (None), the oracle judges statuses only
-        # and projects its expected state forward.
-        read_back = None
-        if self.config.read_back_every and write_index % self.config.read_back_every == 0:
-            try:
-                read_back = list(self.switch.read(ReadRequest(table_id=0)).entries)
-                result.transport_wait_seconds += self._last_read_wait()
-            except ChannelError as exc:
-                result.transport_wait_seconds += self._last_read_wait()
-                # A failed read-back downgrades this batch to status-only
-                # judging (read_back stays None): the write's statuses are
-                # real and the oracle must still project the batch forward,
-                # or its expected state silently drifts and the *next*
-                # read-back reports phantom incidents.
-                result.transport.flakes += 1
-                result.incidents.report(
-                    Incident(
-                        kind=IncidentKind.TRANSPORT_FLAKE,
-                        summary=f"read abandoned by the transport: {type(exc).__name__}",
-                        observed=str(exc),
-                        source="p4-fuzzer",
-                    )
-                )
-            except Exception as exc:
-                result.incidents.report(
-                    Incident(
-                        kind=IncidentKind.SWITCH_UNRESPONSIVE,
-                        summary=f"switch raised {type(exc).__name__} during read",
-                        observed=str(exc),
-                        source="p4-fuzzer",
-                    )
-                )
-
-        log = self.oracle.judge_batch(batch, response, read_back)
-        result.incidents.extend(log)
-        # Keep the generator's view in sync with the oracle's adopted state.
-        self.generator.state.replace_all(self.oracle.installed_entries())
-        self._observe_coverage(batch, write_index)
-
     def _observe_coverage(self, batch: List[Update], write_index: int) -> None:
         """Score one judged batch against the model's coverage map."""
         if self.feedback is not None:
@@ -413,49 +293,9 @@ class P4Fuzzer:
                 batch, self.oracle.installed_entries(), write_index
             )
 
-    def _resync_oracle(self, result: FuzzResult) -> bool:
-        """Read the switch state back and adopt it (§4.3).  Returns False
-        when even the read-back failed; the next successful read-back will
-        repair the oracle's view."""
-        try:
-            read_back = list(self.switch.read(ReadRequest(table_id=0)).entries)
-            result.transport_wait_seconds += self._last_read_wait()
-        except ChannelError as exc:
-            result.transport_wait_seconds += self._last_read_wait()
-            result.transport.flakes += 1
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.TRANSPORT_FLAKE,
-                    summary=f"resync read abandoned by the transport: {type(exc).__name__}",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            return False
-        except Exception as exc:
-            result.incidents.report(
-                Incident(
-                    kind=IncidentKind.SWITCH_UNRESPONSIVE,
-                    summary=f"switch raised {type(exc).__name__} during resync read",
-                    observed=str(exc),
-                    source="p4-fuzzer",
-                )
-            )
-            return False
-        self.oracle.resync(read_back)
-        self.generator.state.replace_all(self.oracle.installed_entries())
-        return True
-
     # ------------------------------------------------------------------
     # Transport-wait transparency
     # ------------------------------------------------------------------
-    def _last_write_wait(self) -> float:
-        """Modeled wait of the calling thread's last write RPC."""
-        info = getattr(self.switch, "last_write_info", None)
-        if info is not None:
-            return getattr(info, "wait_s", 0.0)
-        return getattr(self.switch, "last_rpc_wait_s", 0.0)
-
     def _last_read_wait(self) -> float:
         """Modeled wait of the calling thread's last read RPC."""
         wait = getattr(self.switch, "last_read_wait_s", None)
@@ -464,24 +304,22 @@ class P4Fuzzer:
         return getattr(self.switch, "last_rpc_wait_s", 0.0)
 
     # ------------------------------------------------------------------
-    # Pipelined campaign (§4.2-sound windowed scheduling)
+    # The campaign loop (§4.2-sound windowed scheduling)
     # ------------------------------------------------------------------
-    def _run_pipelined(self, result: FuzzResult) -> None:
-        """The windowed campaign loop.
+    def _campaign(self, result: FuzzResult) -> None:
+        """The campaign loop: fill a window, send it, judge it, repeat.
 
         Judging-order invariant: outcomes are judged strictly in
         submission order, and a window of size one performs exactly the
-        sequential loop's operations in exactly its order — write,
-        conditional read, judge, adopt.  Conflicting batches are never in
-        the same window, so at any window size the responses and
-        read-backs a window can observe are independent of in-flight
-        interleaving; pipelining changes *when* the oracle judges, never
-        *what* it concludes.
+        one-batch-at-a-time operations in exactly their order — write,
+        conditional read, judge, adopt (``tests/sequential_fuzz.py`` is
+        that loop, kept as the executable specification of depth 1).
+        Conflicting batches are never in the same window, so at any window
+        size the responses and read-backs a window can observe are
+        independent of in-flight interleaving; pipelining changes *when*
+        the oracle judges, never *what* it concludes.
         """
         depth = max(1, self.config.pipeline_depth)
-        overlap = self.config.overlap_generation
-        if overlap is None:
-            overlap = depth > 1
         # Deterministic roll streams matter on simulated transports; only
         # a real-time stack (injected sleeper) trades them for wall-clock
         # overlap.
@@ -490,12 +328,14 @@ class P4Fuzzer:
             self.switch, self.p4info, depth, strict_order=strict
         )
         result.pipeline = scheduler.stats
-        # The batch stream, tagged with its wave index (the read gate's
-        # clock).  Windows draw from the front across wave boundaries —
-        # a wave is typically a single batch (wave size == max batch
-        # size), so cross-wave windows are where the depth comes from.
-        queue: List[tuple] = []
+        # The batch stream as [wave index (the read gate's clock), batch,
+        # footprint or None until first needed].  Windows draw from the
+        # front across wave boundaries — a wave is typically a single
+        # batch (wave size == max batch size), so cross-wave windows are
+        # where the depth comes from.
+        queue: List[list] = []
         next_wave = 0
+
         def refill() -> None:
             # Generate waves until `depth` batches are queued.  Waves
             # generated in one burst all see the state as of the last
@@ -514,10 +354,12 @@ class P4Fuzzer:
                     self.p4info, updates, self.config.updates_per_write
                 )
                 result.writes_sent += len(batches)
-                wave_index = next_wave - 1
-                queue.extend(
-                    (wave_index, batch, scheduler.footprint(batch)) for batch in batches
-                )
+                queue.extend([next_wave - 1, batch, None] for batch in batches)
+
+        def footprint(item: list) -> Footprint:
+            if item[2] is None:
+                item[2] = scheduler.footprint(item[1])
+            return item[2]
 
         try:
             while True:
@@ -531,19 +373,24 @@ class P4Fuzzer:
                 # reordered relative to each other, so dependent writes
                 # still observe their predecessors' effects).  Skipped
                 # batches keep their queue position for a later window;
-                # `ahead` is the joint footprint of both groups.
-                window, ahead, index = [], Footprint(), 0
+                # `ahead` is the joint footprint of both groups.  A batch is
+                # decoded into its footprint only when it is compared or
+                # another candidate follows it — never at depth 1.
+                window, ahead, index = [], None, 0
                 while len(window) < depth and index < len(queue):
-                    footprint = queue[index][2]
-                    if ahead.conflicts(footprint):
+                    item = queue[index]
+                    if ahead is not None and ahead.conflicts(footprint(item)):
                         scheduler.stats.conflict_stalls += 1
                         index += 1
                     else:
                         window.append(queue.pop(index))
-                    ahead.absorb(footprint)
-                hook = refill if overlap else None
+                    if len(window) < depth and index < len(queue):
+                        if ahead is None:
+                            ahead = Footprint()
+                        ahead.absorb(footprint(item))
                 outcomes = scheduler.send_window(
-                    [batch for _, batch, _ in window], while_in_flight=hook
+                    [batch for _, batch, _ in window],
+                    while_in_flight=refill if depth > 1 else None,
                 )
                 self._judge_window(
                     outcomes, max(wave for wave, _, _ in window), result, scheduler
@@ -561,12 +408,12 @@ class P4Fuzzer:
     ) -> None:
         """Drain one window's outcomes in submission order.
 
-        Mirrors _send_batch decision for decision; at window size one the
-        incident stream, counters, and oracle operations are identical to
-        the sequential loop's.
+        At window size one the incident stream, counters, and oracle
+        operations are those of writing, reading back and judging one
+        batch at a time (``tests/sequential_fuzz.py``).
         """
         pending: List[BatchOutcome] = []
-        reached = 0  # batches whose write answered (sequential would read back each)
+        reached = 0  # batches whose write answered (each would get its own read)
         resync_flake = False  # a write flaked: adopt a read-back, uncounted
         resync_counted = False  # ambiguous/stale: adopt and count a resync
         mismatch = False  # response cardinality mismatch in the window
@@ -621,13 +468,13 @@ class P4Fuzzer:
             )
 
         # Judge in submission order.  The coalesced read-back stands in
-        # for the per-batch read the sequential loop would have taken
+        # for the per-batch read a one-batch window would have taken
         # after the *last* batch; earlier batches are judged status-only
         # (their entries are untouched by their independent siblings, so
         # the final read still checks them).  When the window needs an
         # adoption instead — a flaked or ambiguous sibling, or a
         # cardinality mismatch — every batch is judged status-only and
-        # the read-back is adopted afterwards, exactly the sequential
+        # the read-back is adopted afterwards, exactly the one-batch
         # recovery.
         attach_rb = read_back is not None and not need_resync and not mismatch
         for position, outcome in enumerate(pending):
@@ -637,7 +484,7 @@ class P4Fuzzer:
             # Coverage accounting rides the deferred in-order judging
             # stage — never the in-flight path — so the tracker sees the
             # oracle's post-judging states in submission order, exactly as
-            # the sequential loop's per-batch observation would.
+            # one-batch windows would.
             self._observe_coverage(outcome.batch, write_index)
         if read_back is not None and (need_resync or mismatch):
             self.oracle.resync(read_back)

@@ -50,30 +50,18 @@ class Classified:
 class Oracle:
     """Judges responses and read-backs against the instantiated spec.
 
-    State bookkeeping is incremental by default: per-table entry counters,
-    a :class:`~repro.p4.constraints.refs.ReferenceIndex` answering the
+    State bookkeeping is incremental: per-table entry counters, a
+    :class:`~repro.p4.constraints.refs.ReferenceIndex` answering the
     dangling/orphan questions, and a decoded-form cache keyed by wire
     entry, so per-update judging cost is independent of how many entries
-    are installed.  ``incremental=False`` keeps the original linear
-    recomputation — retained as the baseline the differential tests and
-    benchmarks compare against (verdicts are identical either way).
+    are installed.  ``tests/linear_state.py`` keeps the linear
+    recomputation of the same state as the executable specification the
+    differential tests compare against.
     """
 
-    # Class-level default so whole campaigns can be flipped to the linear
-    # baseline without threading a parameter through every constructor.
-    default_incremental = True
-
-    def __init__(
-        self,
-        p4info: P4Info,
-        strict_constraints: bool = False,
-        incremental: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, p4info: P4Info, strict_constraints: bool = False) -> None:
         self.p4info = p4info
         self.refs = ReferenceGraph(p4info)
-        self.incremental = (
-            self.default_incremental if incremental is None else incremental
-        )
         self._constraints = {}
         # A malformed @entry_restriction must never *silently* disable
         # constraint checking for its table: that would suppress every
@@ -92,10 +80,9 @@ class Oracle:
                     self.constraint_errors[tid] = str(exc)
         # The adopted switch state: entry identity -> wire entry.
         self.expected: Dict[Tuple, TableEntry] = {}
-        # Incrementally maintained referenceable state (mirrors expected).
-        self._available = self.refs.collect_state(())
-        # Incremental mode: per-table entry counts, the reverse-reference
-        # index, and the decoded-form cache for read-back diffing.
+        # Mirrors of `expected`: per-table entry counts, the
+        # reverse-reference index, and the decoded-form cache for
+        # read-back diffing.
         self._counts: Dict[int, int] = {}
         self._index = ReferenceIndex(self.refs)
         self._decoded: Dict[TableEntry, object] = {}
@@ -178,8 +165,6 @@ class Oracle:
     def _judge_update(self, update: Update, status: Status, log: IncidentLog) -> None:
         classified = self.classify(update)
         entry = update.entry
-        key = entry.match_key()
-
         if classified.validity == "invalid":
             if status.ok:
                 table = self.p4info.tables.get(entry.table_id)
@@ -214,12 +199,7 @@ class Oracle:
         table = self.p4info.tables[entry.table_id]
         exists = key in self.expected
         dangling = self.refs.dangling_references(entry, self._available_values())
-        if self.incremental:
-            table_count = self._counts.get(entry.table_id, 0)
-        else:
-            table_count = sum(
-                1 for k in self.expected if self._key_table(k) == entry.table_id
-            )
+        table_count = self._table_count(entry.table_id)
 
         if exists:
             if status.ok:
@@ -536,10 +516,6 @@ class Oracle:
         observed: Dict[Tuple, TableEntry],
         diff: Optional[Tuple[List[Tuple], List[Tuple], List[Tuple]]] = None,
     ) -> None:
-        if not self.incremental:
-            self.expected = observed
-            self._available = self.refs.collect_state(observed.values())
-            return
         # When the observed state equals the projection (the common case —
         # no diff entries at all), adopting is just swapping the dict; the
         # index and counters already describe it.  Otherwise apply only the
@@ -568,13 +544,6 @@ class Oracle:
         self._prune_decode_cache()
 
     def _same_entry(self, a: TableEntry, b: TableEntry) -> bool:
-        if not self.incremental:
-            try:
-                da = decode_table_entry(self.p4info, a)
-                db = decode_table_entry(self.p4info, b)
-            except EntryDecodeError:
-                return False
-            return da == db
         da = self._decode_cached(a)
         if a is b or a == b:
             # Handed back as sent (every steady-state read-back): it only has to decode.
@@ -609,28 +578,16 @@ class Oracle:
     def _apply(self, update: Update) -> None:
         key = update.entry.match_key()
         if update.type is UpdateType.DELETE:
-            removed = self.expected.pop(key, None)
-            if removed is None:
+            if self.expected.pop(key, None) is None:
                 return
-            if self.incremental:
-                self._index.delete(key)
-                self._bump(self._key_table(key), -1)
-            else:
-                exported = self.refs.exported_keyset(removed)
-                if exported is not None:
-                    self._available.remove(*exported)
+            self._index.delete(key)
+            self._bump(self._key_table(key), -1)
         else:
-            existed = key in self.expected
-            if self.incremental:
-                if existed:
-                    self._index.replace(key, update.entry)
-                else:
-                    self._index.insert(key, update.entry)
-                    self._bump(self._key_table(key), +1)
-            elif not existed:
-                exported = self.refs.exported_keyset(update.entry)
-                if exported is not None:
-                    self._available.add(*exported)
+            if key in self.expected:
+                self._index.replace(key, update.entry)
+            else:
+                self._index.insert(key, update.entry)
+                self._bump(self._key_table(key), +1)
             self.expected[key] = update.entry
 
     def _bump(self, table_id: int, delta: int) -> None:
@@ -644,20 +601,14 @@ class Oracle:
     def _key_table(key: Tuple) -> int:
         return key[0]
 
+    def _table_count(self, table_id: int) -> int:
+        return self._counts.get(table_id, 0)
+
     def _available_values(self):
-        return self._index.available if self.incremental else self._available
+        return self._index.available
 
     def _delete_would_orphan(self, key: Tuple) -> bool:
-        if self.incremental:
-            return self._index.would_orphan(key)
-        remaining = self.refs.collect_state(
-            entry for other_key, entry in self.expected.items() if other_key != key
-        )
-        return any(
-            self.refs.dangling_references(entry, remaining)
-            for other_key, entry in self.expected.items()
-            if other_key != key
-        )
+        return self._index.would_orphan(key)
 
     def installed_entries(self) -> List[TableEntry]:
         return list(self.expected.values())

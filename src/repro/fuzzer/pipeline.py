@@ -1,9 +1,9 @@
 """Windowed write pipelining for the fuzzing loop (§4.2-sound).
 
-The sequential campaign loop sends one batch, reads the state back,
-judges, and only then sends the next batch — paying the transport's full
-round-trip latency (injected delays, retries, backoff) once per batch.
-The batching discipline already guarantees more than that loop exploits:
+Sending one batch, reading the state back, judging, and only then sending
+the next batch pays the transport's full round-trip latency (injected
+delays, retries, backoff) once per batch.  The batching discipline
+already guarantees more than that exploits:
 batches built by :func:`repro.fuzzer.batching.make_batches` are
 order-independent *internally*, and any two batches with no ``@refers_to``
 dependency edges (and no shared entry identity) between them commute, so
@@ -16,16 +16,18 @@ read-back can say.
   ``depth`` batches.  A batch whose footprint conflicts with the window's
   (the same :class:`~repro.fuzzer.batching.Footprint` rule the batcher
   packs by) closes it early — dependent writes are never both in flight.
-* **In-flight writes.**  Every batch of a window is submitted to a small
-  thread pool; the caller can overlap next-wave generation with the
-  drain.  Under the default *strict order* mode a turnstile admits the
-  writes into the transport one at a time in submission order, so the
-  fault channel's seeded roll stream stays a pure function of the RPC
-  order — pipelined campaigns are exactly as reproducible as sequential
-  ones.  (Real overlap still happens in wall-clock mode: channels sleep
-  their injected latency *outside* their roll lock.)
+* **In-flight writes.**  Every batch of a window of two or more is
+  submitted to a small thread pool; the caller can overlap next-wave
+  generation with the drain.  A one-batch window (every window at depth
+  1) is sent on the calling thread.  Under the default *strict order*
+  mode a turnstile admits the writes into the transport one at a time in
+  submission order, so the fault channel's seeded roll stream stays a
+  pure function of the RPC order — deep campaigns are exactly as
+  reproducible as depth-1 ones.  (Real overlap still happens in
+  wall-clock mode: channels sleep their injected latency *outside* their
+  roll lock.)
 * **Coalesced read-backs.**  One state read serves the whole window where
-  the sequential loop reads after every batch; the saved reads are the
+  one-batch windows read after every batch; the saved reads are the
   dominant win on a slow transport *and* on CPU (read-back judging is
   O(state)).
 * **Makespan accounting.**  Each batch reports its modeled transport wait
@@ -37,9 +39,9 @@ read-back can say.
 
 The judging-order invariant lives in the fuzzer's window-drain code
 (:meth:`repro.fuzzer.fuzzer.P4Fuzzer._judge_window`): outcomes are judged
-in submission order, read-backs are adopted exactly where the sequential
-loop would adopt them, and a window of size one reproduces the sequential
-loop's operation order byte for byte.
+in submission order, read-backs are adopted exactly where one-batch
+windows would adopt them, and at depth 1 the campaign is byte for byte
+the write / read back / judge loop of ``tests/sequential_fuzz.py``.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ class PipelineStats:
     # already in flight.
     conflict_stalls: int = 0
     # State reads actually performed, and how many per-batch reads the
-    # window coalescing saved relative to the sequential discipline.
+    # window coalescing saved relative to one read per batch.
     read_backs: int = 0
     read_backs_coalesced: int = 0
-    # Transport waits: serial = sum of per-RPC waits (what the sequential
-    # loop would have paid), pipelined = per-window max over in-flight
+    # Transport waits: serial = sum of per-RPC waits (what one batch in
+    # flight at a time would have paid), pipelined = per-window max over in-flight
     # writes plus the coalesced read (what the overlapped schedule pays).
     serial_wait_s: float = 0.0
     pipelined_wait_s: float = 0.0
@@ -123,8 +125,8 @@ class WriteScheduler:
 
     ``strict_order=True`` (the default for simulated transports) serializes
     the actual transport calls in submission order through a turnstile:
-    the fault channel consumes its seeded rolls in exactly the order the
-    sequential loop would, so verdicts are reproducible run to run and
+    the fault channel consumes its seeded rolls in exactly the order
+    one-batch windows would, so verdicts are reproducible run to run and
     comparable across depths.  Pass ``strict_order=False`` only for
     real-time transports (injected sleepers), where wall-clock overlap
     matters more than roll-stream stability — wrap bare stacks in
@@ -228,18 +230,28 @@ class WriteScheduler:
 
         ``while_in_flight`` runs on the calling thread after dispatch and
         before the drain — the hook the fuzzer uses to overlap next-wave
-        generation with the in-flight writes.
+        generation with the in-flight writes.  A one-batch window has
+        nothing to overlap with: it is sent on the calling thread and the
+        hook runs after it.
         """
-        futures = []
-        for batch in window:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            futures.append(self._pool.submit(self._send_one, batch, ticket))
-        if while_in_flight is not None:
-            overlap_start = time.perf_counter()
-            while_in_flight()
-            self.stats.overlapped_generation_s += time.perf_counter() - overlap_start
-        outcomes = [future.result() for future in futures]
+        first = self._next_ticket
+        self._next_ticket += len(window)
+        if len(window) == 1:
+            outcomes = [self._send_one(window[0], first)]
+            if while_in_flight is not None:
+                while_in_flight()
+        else:
+            futures = [
+                self._pool.submit(self._send_one, batch, first + offset)
+                for offset, batch in enumerate(window)
+            ]
+            if while_in_flight is not None:
+                overlap_start = time.perf_counter()
+                while_in_flight()
+                self.stats.overlapped_generation_s += (
+                    time.perf_counter() - overlap_start
+                )
+            outcomes = [future.result() for future in futures]
         self.stats.windows += 1
         self.stats.batches += len(outcomes)
         self.stats.max_in_flight = max(self.stats.max_in_flight, len(outcomes))

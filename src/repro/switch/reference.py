@@ -9,15 +9,13 @@ hash for forwarding).  Two uses:
 * programs that do not fit the SAI shape (the toy program), where the
   layered PINS stack has no table mapping.
 
-State bookkeeping is incremental by default (``indexed=True``): per-table
-entry counters, per-table :class:`~repro.bmv2.index.TableIndex` lookup
-structures handed to every interpreter run, a
-:class:`~repro.p4.constraints.refs.ReferenceIndex` answering the
-dangling/orphan questions, and per-table read views — so per-update and
-per-packet cost is independent of how many entries are installed.
-``indexed=False`` keeps the original linear recomputation as the baseline
-the differential tests and benchmarks compare against; responses, reads
-and forwarding are identical either way.
+State bookkeeping is incremental: per-table entry counters, per-table
+:class:`~repro.bmv2.index.TableIndex` lookup structures handed to every
+interpreter run, a :class:`~repro.p4.constraints.refs.ReferenceIndex`
+answering the dangling/orphan questions, and per-table read views — so
+per-update and per-packet cost is independent of how many entries are
+installed.  ``tests/linear_state.py`` keeps the linear recomputation as the
+executable specification the differential tests compare against.
 """
 
 from __future__ import annotations
@@ -59,18 +57,8 @@ from repro.switch.stack import ObservedForwarding
 class ReferenceSwitch(P4RuntimeService):
     """A switch whose behaviour *is* the model's behaviour."""
 
-    # Class-level default so whole campaigns can be flipped to the linear
-    # baseline without threading a parameter through every constructor.
-    default_indexed = True
-
-    def __init__(
-        self,
-        program: P4Program,
-        hash_seed: int = 7,
-        indexed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, program: P4Program, hash_seed: int = 7) -> None:
         self.program = program
-        self.indexed = self.default_indexed if indexed is None else indexed
         self._hash = SeededHash(seed=hash_seed)
         self._p4info: Optional[P4Info] = None
         self._refs: Optional[ReferenceGraph] = None
@@ -78,15 +66,16 @@ class ReferenceSwitch(P4RuntimeService):
         self._store: Dict[Tuple, Tuple[TableEntry, InstalledEntry]] = {}
         self._packet_ins: List[PacketIn] = []
         self._egress_log: List[Tuple[int, bytes]] = []
-        # Incremental bookkeeping (mirrors _store; maintained when indexed).
+        # Incremental bookkeeping (mirrors _store; set up by the first
+        # pipeline config, which every write and preload requires).
         self._counts: Dict[str, int] = {}
         self._orders: Dict[Tuple, int] = {}
         self._next_order = 0
         self._indices: Dict[str, TableIndex] = {}
         self._refindex: Optional[ReferenceIndex] = None
         self._by_table_wire: Dict[int, Dict[Tuple, TableEntry]] = {}
-        # One interpreter for every packet.  Indexed, it needs no entry lists:
-        # every table the AST declares gets its (live) index on first insert,
+        # One interpreter for every packet.  It needs no entry lists: every
+        # table the AST declares gets its (live) index on first insert,
         # and a table the AST does not declare is never applied.
         self._interpreter = Interpreter(program, {}, table_indices=self._indices)
 
@@ -142,8 +131,7 @@ class ReferenceSwitch(P4RuntimeService):
             if self._dangling(update.entry):
                 return invalid_argument("dangling reference")
             self._store[key] = (update.entry, decoded)
-            if self.indexed:
-                self._track_insert(key, update.entry, decoded)
+            self._track_insert(key, update.entry, decoded)
             return Status()
         if update.type is UpdateType.MODIFY:
             if key not in self._store:
@@ -152,16 +140,14 @@ class ReferenceSwitch(P4RuntimeService):
                 return invalid_argument("dangling reference")
             _old_wire, old_decoded = self._store[key]
             self._store[key] = (update.entry, decoded)
-            if self.indexed:
-                self._track_modify(key, old_decoded, update.entry, decoded)
+            self._track_modify(key, old_decoded, update.entry, decoded)
             return Status()
         if key not in self._store:
             return not_found(table.name)
         if self._orphans(key):
             return failed_precondition("entry is still referenced")
         old_wire, old_decoded = self._store.pop(key)
-        if self.indexed:
-            self._track_delete(key, old_wire, old_decoded)
+        self._track_delete(key, old_wire, old_decoded)
         return Status()
 
     # ------------------------------------------------------------------
@@ -172,12 +158,11 @@ class ReferenceSwitch(P4RuntimeService):
         order = self._next_order
         self._next_order += 1
         self._orders[key] = order
-        self._counts[name] = self._counts.get(name, 0) + 1
+        self._bump(name, +1)
         index = self._index_for(name)
         if index is not None:
             index.add(order, decoded)
-        if self._refindex is not None:
-            self._refindex.insert(key, wire)
+        self._refindex.insert(key, wire)
         self._by_table_wire.setdefault(wire.table_id, {})[key] = wire
 
     def _track_modify(
@@ -193,8 +178,7 @@ class ReferenceSwitch(P4RuntimeService):
         index = self._index_for(decoded.table_name)
         if index is not None:
             index.replace(old_decoded, self._orders[key], decoded)
-        if self._refindex is not None:
-            self._refindex.replace(key, wire)
+        self._refindex.replace(key, wire)
         self._by_table_wire[wire.table_id][key] = wire
 
     def _track_delete(self, key: Tuple, wire: TableEntry, decoded: InstalledEntry) -> None:
@@ -203,16 +187,18 @@ class ReferenceSwitch(P4RuntimeService):
         if index is not None:
             index.remove(decoded)
         self._orders.pop(key, None)
-        count = self._counts.get(name, 0) - 1
-        if count > 0:
-            self._counts[name] = count
-        else:
-            self._counts.pop(name, None)
-        if self._refindex is not None:
-            self._refindex.delete(key)
+        self._bump(name, -1)
+        self._refindex.delete(key)
         per_table = self._by_table_wire.get(wire.table_id)
         if per_table is not None:
             per_table.pop(key, None)
+
+    def _bump(self, table_name: str, delta: int) -> None:
+        count = self._counts.get(table_name, 0) + delta
+        if count:
+            self._counts[table_name] = count
+        else:
+            self._counts.pop(table_name, None)
 
     def _index_for(self, table_name: str) -> Optional[TableIndex]:
         index = self._indices.get(table_name)
@@ -224,18 +210,16 @@ class ReferenceSwitch(P4RuntimeService):
         return index
 
     def _count(self, table_name: str) -> int:
-        if self.indexed:
-            return self._counts.get(table_name, 0)
-        return sum(1 for k in self._store if k[0] == table_name)
+        return self._counts.get(table_name, 0)
 
     def preload(self, entries: Sequence[TableEntry]) -> int:
         """Bulk-load valid entries, bypassing per-update admission checks.
 
-        Benchmark/test seeding helper: installing N entries through
-        :meth:`write` costs O(N^2) on the linear baseline, which would make
-        comparing marginal per-update cost against a pre-seeded state
-        impossible at production scale.  Entries must decode; duplicates
-        overwrite (insert semantics are not enforced).
+        Benchmark/test seeding helper: skips the per-update admission
+        checks (constraints, capacity, referential integrity) so a
+        production-scale state can be seeded without judging each entry.
+        Entries must decode; duplicates overwrite (insert semantics are not
+        enforced).
         """
         if self._p4info is None:
             raise RuntimeError("preload requires a forwarding pipeline config")
@@ -245,53 +229,29 @@ class ReferenceSwitch(P4RuntimeService):
             key = decoded.identity()
             existed = self._store.get(key)
             self._store[key] = (wire, decoded)
-            if self.indexed:
-                if existed is not None:
-                    self._track_modify(key, existed[1], wire, decoded)
-                else:
-                    self._track_insert(key, wire, decoded)
+            if existed is not None:
+                self._track_modify(key, existed[1], wire, decoded)
+            else:
+                self._track_insert(key, wire, decoded)
             loaded += 1
         return loaded
 
     # ------------------------------------------------------------------
     # Referential integrity
     # ------------------------------------------------------------------
-    def _available(self, excluding: Optional[Tuple] = None):
-        return self._refs.collect_state(
-            wire
-            for key, (wire, _decoded) in self._store.items()
-            if key != excluding
-        )
-
     def _dangling(self, entry: TableEntry) -> bool:
-        if self.indexed and self._refindex is not None:
-            return bool(self._refs.dangling_references(entry, self._refindex.available))
-        return bool(self._refs.dangling_references(entry, self._available()))
+        return bool(self._refs.dangling_references(entry, self._refindex.available))
 
     def _orphans(self, key: Tuple) -> bool:
-        if self.indexed and self._refindex is not None:
-            return self._refindex.would_orphan(key)
-        remaining = self._available(excluding=key)
-        return any(
-            self._refs.dangling_references(wire, remaining)
-            for other, (wire, _d) in self._store.items()
-            if other != key
-        )
+        return self._refindex.would_orphan(key)
 
     def read(self, request: ReadRequest) -> ReadResponse:
         if not request.table_id:
             return ReadResponse(
                 entries=tuple(wire for wire, _decoded in self._store.values())
             )
-        if self.indexed:
-            per_table = self._by_table_wire.get(request.table_id, {})
-            return ReadResponse(entries=tuple(per_table.values()))
-        entries = [
-            wire
-            for _key, (wire, _decoded) in self._store.items()
-            if wire.table_id == request.table_id
-        ]
-        return ReadResponse(entries=tuple(entries))
+        per_table = self._by_table_wire.get(request.table_id, {})
+        return ReadResponse(entries=tuple(per_table.values()))
 
     def packet_out(self, packet: PacketOut) -> Status:
         if packet.submit_to_ingress:
@@ -321,16 +281,8 @@ class ReferenceSwitch(P4RuntimeService):
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-    def _state(self) -> Dict[str, List[InstalledEntry]]:
-        state: Dict[str, List[InstalledEntry]] = {}
-        for _wire, decoded in self._store.values():
-            state.setdefault(decoded.table_name, []).append(decoded)
-        return state
-
     def send_packet(self, payload: bytes, ingress_port: int) -> ObservedForwarding:
         parsed = parse_packet(payload, self.program.parser.pattern)
-        if not self.indexed:
-            self._interpreter.state = self._state()
         result = self._interpreter.run(parsed, ingress_port, self._hash)
         if result.punted:
             self._packet_ins.append(

@@ -172,8 +172,8 @@ class PipelineThroughput:
 
     Modeled updates/second charges both the CPU the campaign spent and the
     transport wait its schedule would pay against a real switch at the
-    injected latencies: per-RPC sums for the sequential loop, per-window
-    makespans for the pipelined one.  That makes depth comparisons
+    injected latencies: per-window makespans, which equal per-RPC sums at
+    depth 1.  That makes depth comparisons
     deterministic — no sleeping needed to show the overlap win.
     """
 
@@ -200,22 +200,20 @@ class PipelineThroughput:
 
 
 def collect_pipeline_throughput(result) -> PipelineThroughput:
-    """Fold a FuzzResult (sequential or pipelined) into throughput metrics."""
-    metrics = PipelineThroughput(
+    """Fold a FuzzResult into throughput metrics."""
+    stats = result.pipeline
+    return PipelineThroughput(
+        depth=stats.depth,
         updates_sent=result.updates_sent,
         wall_seconds=result.elapsed_seconds,
         transport_wait_seconds=result.transport_wait_seconds,
+        max_in_flight=stats.max_in_flight,
+        windows=stats.windows,
+        conflict_stalls=stats.conflict_stalls,
+        read_backs=stats.read_backs,
+        read_backs_coalesced=stats.read_backs_coalesced,
+        overlap_saved_s=stats.overlap_saved_s,
     )
-    stats = result.pipeline
-    if stats is not None:
-        metrics.depth = stats.depth
-        metrics.max_in_flight = stats.max_in_flight
-        metrics.windows = stats.windows
-        metrics.conflict_stalls = stats.conflict_stalls
-        metrics.read_backs = stats.read_backs
-        metrics.read_backs_coalesced = stats.read_backs_coalesced
-        metrics.overlap_saved_s = stats.overlap_saved_s
-    return metrics
 
 
 # ----------------------------------------------------------------------

@@ -200,38 +200,30 @@ def render_transport_stats(transport) -> str:
 
 
 def render_pipeline_stats(result) -> str:
-    """Human-facing pipelined-campaign summary.
+    """Human-facing fuzz-campaign schedule summary.
 
     Takes a :class:`repro.fuzzer.fuzzer.FuzzResult` (duck-typed to avoid a
     circular import) and renders the windowed scheduler's work: in-flight
     depth, coalesced read-backs, and the modeled throughput that charges
     both CPU and the schedule's transport wait."""
-    lines = [
-        "pipeline:",
-        f"    throughput:   {result.modeled_updates_per_second:.0f} updates/s modeled"
-        f" ({result.updates_sent} updates,"
-        f" {result.elapsed_seconds:.2f}s cpu"
-        f" + {result.transport_wait_seconds:.2f}s transport wait)",
-    ]
     stats = result.pipeline
-    if stats is None:
-        lines.append("    schedule:     sequential (one batch in flight)")
-        return "\n".join(lines)
-    lines.append(
-        f"    in flight:    depth {stats.depth},"
-        f" peak {stats.max_in_flight},"
-        f" {stats.windows} window(s),"
-        f" {stats.conflict_stalls} conflict stall(s)"
+    return "\n".join(
+        [
+            "pipeline:",
+            f"    throughput:   {result.modeled_updates_per_second:.0f} updates/s modeled"
+            f" ({result.updates_sent} updates,"
+            f" {result.elapsed_seconds:.2f}s cpu"
+            f" + {result.transport_wait_seconds:.2f}s transport wait)",
+            f"    in flight:    depth {stats.depth},"
+            f" peak {stats.max_in_flight},"
+            f" {stats.windows} window(s),"
+            f" {stats.conflict_stalls} conflict stall(s)",
+            f"    read-backs:   {stats.read_backs} taken,"
+            f" {stats.read_backs_coalesced} coalesced away",
+            f"    overlap:      {stats.overlap_saved_s:.2f}s transport wait saved"
+            f" ({stats.overlapped_generation_s:.2f}s generation overlapped)",
+        ]
     )
-    lines.append(
-        f"    read-backs:   {stats.read_backs} taken,"
-        f" {stats.read_backs_coalesced} coalesced away"
-    )
-    lines.append(
-        f"    overlap:      {stats.overlap_saved_s:.2f}s transport wait saved"
-        f" ({stats.overlapped_generation_s:.2f}s generation overlapped)"
-    )
-    return "\n".join(lines)
 
 
 def render_coverage_progress(progress) -> str:

@@ -30,6 +30,7 @@ from repro.switchv.metrics import merge_coverage_progress
 from repro.switchv.report import render_coverage_progress
 from repro.symbolic.coverage import entry_goal_name
 from repro.workloads import EntryBuilder
+from tests.sequential_fuzz import SequentialFuzzer
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -193,9 +194,9 @@ def _fingerprint(result):
     }
 
 
-def _run_guided(tor_program, tor_p4info, **overrides):
+def _run_guided(tor_program, tor_p4info, fuzzer_class=P4Fuzzer, **overrides):
     config = dataclasses.replace(GUIDED, **overrides)
-    fuzzer = P4Fuzzer(
+    fuzzer = fuzzer_class(
         tor_p4info, PinsSwitchStack(tor_program), config, model=tor_program
     )
     return fuzzer.run()
@@ -208,8 +209,8 @@ class TestGuidedCampaign:
         assert _fingerprint(first) == _fingerprint(second)
 
     def test_depth1_pipeline_byte_identical_with_coverage(self, tor_program, tor_p4info):
-        sequential = _run_guided(tor_program, tor_p4info)
-        pipelined = _run_guided(tor_program, tor_p4info, force_pipeline=True)
+        sequential = _run_guided(tor_program, tor_p4info, SequentialFuzzer)
+        pipelined = _run_guided(tor_program, tor_p4info)
         assert _fingerprint(pipelined) == _fingerprint(sequential)
 
     def test_tracking_alone_leaves_the_campaign_unchanged(self, tor_program, tor_p4info):

@@ -1,8 +1,9 @@
-"""The pipelined fuzzing loop's soundness bar.
+"""The windowed fuzzing loop's soundness bar.
 
-`pipeline_depth=1` must reproduce the sequential loop byte for byte —
-same incident stream (dedup keys, in order), same counters, same final
-state, same modeled transport waits — across every fault profile.  At
+`pipeline_depth=1` must reproduce the one-batch-at-a-time loop of
+``tests/sequential_fuzz.py`` byte for byte — same incident stream (dedup
+keys, in order), same counters, same final state, same modeled transport
+waits — across every fault profile.  At
 depth > 1 pipelining may change *when* the oracle judges, never *what*
 it concludes: on a clean transport the model-incident dedup-key set is
 unchanged, and under faults there are still zero phantoms.
@@ -18,13 +19,14 @@ from repro.p4rt.channel import FaultInjectingChannel, resolve_profile
 from repro.p4rt.messages import Update, UpdateType
 from repro.p4rt.retry import build_resilient_client
 from repro.switch import PinsSwitchStack
+from tests.sequential_fuzz import SequentialFuzzer
 
 CONFIG = FuzzerConfig(num_writes=15, updates_per_write=20, seed=21)
 
 PROFILES = [None, "drop_request", "drop_response", "duplicate", "delay", "reset", "crash", "chaos"]
 
 
-def _run(tor_program, tor_p4info, profile_name, **overrides):
+def _run(tor_program, tor_p4info, profile_name, fuzzer_class=P4Fuzzer, **overrides):
     stack = PinsSwitchStack(tor_program)
     switch = stack
     channel = None
@@ -33,12 +35,12 @@ def _run(tor_program, tor_p4info, profile_name, **overrides):
         switch = channel
     client = build_resilient_client(switch)
     config = dataclasses.replace(CONFIG, **overrides)
-    fuzzer = P4Fuzzer(tor_p4info, client, config)
+    fuzzer = fuzzer_class(tor_p4info, client, config)
     return fuzzer.run(), channel
 
 
 def _fingerprint(result):
-    """Everything the sequential and depth-1 pipelined loops must agree on."""
+    """Everything the sequential spec and the depth-1 windowed loop must agree on."""
     return {
         "incident_keys": [i.dedup_key() for i in result.incidents],
         "final_state": sorted(e.match_key() for e in result.final_entries),
@@ -53,19 +55,19 @@ def _fingerprint(result):
 
 
 # ----------------------------------------------------------------------
-# Depth 1: byte-identical to the sequential loop
+# Depth 1: byte-identical to the sequential spec
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("profile", PROFILES)
 def test_depth1_pipeline_is_byte_identical_to_sequential(tor_program, tor_p4info, profile):
-    sequential, _ = _run(tor_program, tor_p4info, profile)
-    pipelined, channel = _run(tor_program, tor_p4info, profile, force_pipeline=True)
+    sequential, _ = _run(tor_program, tor_p4info, profile, SequentialFuzzer)
+    pipelined, channel = _run(tor_program, tor_p4info, profile)
 
     assert _fingerprint(pipelined) == _fingerprint(sequential)
     assert pipelined.transport_wait_seconds == pytest.approx(
         sequential.transport_wait_seconds
     )
     # The windowed scheduler really ran (and degenerated to depth 1).
-    assert pipelined.pipeline is not None
+    assert pipelined.pipeline.windows > 0
     assert pipelined.pipeline.depth == 1
     assert pipelined.pipeline.max_in_flight == 1
     # Same RPC stream — the fault channel rolled identically.
@@ -74,10 +76,10 @@ def test_depth1_pipeline_is_byte_identical_to_sequential(tor_program, tor_p4info
 
 
 def test_depth1_pipeline_identical_with_sparse_read_backs(tor_program, tor_p4info):
-    sequential, _ = _run(tor_program, tor_p4info, "chaos", read_back_every=3)
-    pipelined, _ = _run(
-        tor_program, tor_p4info, "chaos", read_back_every=3, force_pipeline=True
+    sequential, _ = _run(
+        tor_program, tor_p4info, "chaos", SequentialFuzzer, read_back_every=3
     )
+    pipelined, _ = _run(tor_program, tor_p4info, "chaos", read_back_every=3)
     assert _fingerprint(pipelined) == _fingerprint(sequential)
 
 
@@ -212,18 +214,22 @@ def test_collect_pipeline_throughput_folds_the_result(tor_program, tor_p4info):
     )
     assert metrics.modeled_updates_per_second > 0
 
-    sequential, _ = _run(tor_program, tor_p4info, None)
-    base = collect_pipeline_throughput(sequential)
+    shallow, _ = _run(tor_program, tor_p4info, None)
+    base = collect_pipeline_throughput(shallow)
     assert base.depth == 1
-    assert base.windows == 0
+    assert base.max_in_flight == 1
+    # One window, and one read-back, per batch.
+    assert base.windows == base.read_backs == shallow.writes_sent
+    assert base.read_backs_coalesced == 0
 
 
 def test_render_pipeline_stats_both_schedules(tor_program, tor_p4info):
     from repro.switchv.report import render_pipeline_stats
 
-    sequential, _ = _run(tor_program, tor_p4info, None)
-    text = render_pipeline_stats(sequential)
-    assert "sequential (one batch in flight)" in text
+    shallow, _ = _run(tor_program, tor_p4info, None)
+    text = render_pipeline_stats(shallow)
+    assert "depth 1, peak 1" in text
+    assert "0 coalesced away" in text
     assert "updates/s modeled" in text
 
     deep, _ = _run(tor_program, tor_p4info, None, pipeline_depth=4)

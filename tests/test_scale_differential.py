@@ -1,10 +1,13 @@
-"""Differential identity: indexed/incremental state paths vs linear baselines.
+"""Differential identity: the indexed state layers vs their linear specs.
 
-The production-scale bugfixes (per-table counters, reverse-reference
-indices, table lookup indices, decode caches, per-table read views) are
-behaviour-preserving by construction; these tests prove it empirically —
-seeded random campaigns, direct write/read/packet sequences, and the whole
-fault catalogue must produce byte-identical outcomes in both modes.
+The production state bookkeeping (per-table counters, reverse-reference
+indices, table lookup indices, decode caches, per-table read views) is
+behaviour-preserving by construction; these tests prove it empirically
+against the linear reference classes of ``tests/linear_state.py``,
+substituted wherever ``P4Fuzzer`` and ``PinsSwitchStack`` construct the
+production ones — seeded random campaigns, direct write/read/packet
+sequences, and the whole fault catalogue must produce byte-identical
+outcomes either way.
 """
 
 import random
@@ -14,8 +17,9 @@ import pytest
 
 from repro.bmv2.interpreter import Interpreter, SeededHash
 from repro.bmv2.packet import deparse_packet, make_ipv4_packet
-from repro.fuzzer.fuzzer import FuzzerConfig, P4Fuzzer
+from repro.fuzzer import fuzzer as fuzzer_module
 from repro.fuzzer import oracle as oracle_module
+from repro.fuzzer.fuzzer import FuzzerConfig, P4Fuzzer
 from repro.fuzzer.oracle import Oracle
 from repro.p4rt.messages import (
     ReadRequest,
@@ -26,10 +30,12 @@ from repro.p4rt.messages import (
 )
 from repro.p4rt.status import Status
 from repro.switch import PinsSwitchStack, ReferenceSwitch
+from repro.switch import stack as stack_module
 from repro.switch.faults import FAULT_CATALOG, FaultRegistry
 from repro.switch.p4rt_server import P4RuntimeServer
 from repro.switchv.report import IncidentKind
 from repro.workloads import EntryBuilder, crm_fill_updates, production_like_entries
+from tests.linear_state import LinearOracle, LinearP4RuntimeServer, LinearReferenceSwitch
 
 MODELS = ["toy", "tor", "wan", "cerberus"]
 
@@ -41,10 +47,15 @@ def _incident_tuples(log):
     ]
 
 
-def _set_modes(monkeypatch, on: bool) -> None:
-    monkeypatch.setattr(Oracle, "default_incremental", on)
-    monkeypatch.setattr(ReferenceSwitch, "default_indexed", on)
-    monkeypatch.setattr(P4RuntimeServer, "default_indexed", on)
+def _set_modes(monkeypatch, on: bool):
+    """Production state classes when `on`, the linear specs otherwise:
+    substitutes the oracle P4Fuzzer builds and the P4Runtime layer
+    PinsSwitchStack builds, and returns the reference-switch class."""
+    monkeypatch.setattr(fuzzer_module, "Oracle", Oracle if on else LinearOracle)
+    monkeypatch.setattr(
+        stack_module, "P4RuntimeServer", P4RuntimeServer if on else LinearP4RuntimeServer
+    )
+    return ReferenceSwitch if on else LinearReferenceSwitch
 
 
 def _probe_packets(count: int = 24):
@@ -74,8 +85,7 @@ def test_fuzz_campaign_identity_reference_switch(model, request, monkeypatch):
     p4info = request.getfixturevalue(f"{model}_p4info")
     outcomes = {}
     for mode in (True, False):
-        _set_modes(monkeypatch, mode)
-        switch = ReferenceSwitch(program)
+        switch = _set_modes(monkeypatch, mode)(program)
         fuzzer = P4Fuzzer(
             p4info,
             switch,
@@ -117,8 +127,7 @@ def test_direct_write_status_identity(tor_program, tor_p4info, monkeypatch):
     updates = crm_fill_updates(entries, churn=120, seed=6, victims=routes)
 
     def run(mode):
-        _set_modes(monkeypatch, mode)
-        switch = ReferenceSwitch(tor_program)
+        switch = _set_modes(monkeypatch, mode)(tor_program)
         assert switch.set_forwarding_pipeline_config(tor_p4info).ok
         statuses = []
         for update in updates:
@@ -190,12 +199,15 @@ def test_fault_catalogue_identity(fault, tor_program, tor_p4info, monkeypatch):
 
 def test_interpreter_index_matches_linear_scan(tor_program, tor_p4info):
     """The table index yields the same winner as the linear scan on every
-    probe — including under the seeded simulator fault knobs."""
-    switch = ReferenceSwitch(tor_program, indexed=False)
+    probe — including under the seeded simulator fault knobs — and so do
+    the reference switch's live per-table indices."""
+    switch = ReferenceSwitch(tor_program)
     assert switch.set_forwarding_pipeline_config(tor_p4info).ok
     for entry in production_like_entries(tor_p4info, 400, seed=21):
         switch.write(WriteRequest(updates=(Update(UpdateType.INSERT, entry),)))
-    state = switch._state()
+    state = {}
+    for _wire, decoded in switch._store.values():
+        state.setdefault(decoded.table_name, []).append(decoded)
     assert any(len(v) > Interpreter.INDEX_MIN_ENTRIES for v in state.values())
 
     rng = random.Random(77)
@@ -223,6 +235,10 @@ def test_interpreter_index_matches_linear_scan(tor_program, tor_p4info):
             b = linear.run(packet, 1, SeededHash(seed=3))
             assert a.behavior_signature() == b.behavior_signature()
             assert a.trace.table_hits == b.trace.table_hits
+            if not (optional_zero or lpm_short):
+                live = switch._interpreter.run(packet, 1, SeededHash(seed=3))
+                assert live.behavior_signature() == b.behavior_signature()
+                assert live.trace.table_hits == b.trace.table_hits
         if not (optional_zero or lpm_short):
             # (The fault knobs can gate routing entirely, in which case the
             # big table is never applied and no index is ever needed.)
@@ -271,11 +287,37 @@ def test_readback_suppression_identity_across_modes(toy_p4info):
     entries = [b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction") for vid in range(1, 12)]
     logs = {}
     for mode in (True, False):
-        oracle = Oracle(toy_p4info, incremental=mode)
+        oracle = (Oracle if mode else LinearOracle)(toy_p4info)
         updates = [Update(UpdateType.INSERT, e) for e in entries]
         ok = WriteResponse(statuses=tuple(Status() for _ in updates))
         logs[mode] = _incident_tuples(oracle.judge_batch(updates, ok, read_back=[]))
     assert logs[True] == logs[False]
+
+
+def test_adopted_loss_releases_references_across_modes(tor_p4info):
+    """A read-back missing a referenced entry takes its referenceable
+    values with it: a route into the lost VRF is dangling again, whether
+    the loss arrives through a resync or a judged read-back."""
+    b = EntryBuilder(tor_p4info)
+    vrfs = [b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction") for vid in (4, 5)]
+    routes = [
+        b.lpm("ipv4_tbl", {"vrf_id": vid}, "ipv4_dst", 0x0A000000, 8, "drop", {})
+        for vid in (4, 5)
+    ]
+    ok = WriteResponse(statuses=(Status(),))
+    logs = {}
+    for mode in (True, False):
+        oracle = (Oracle if mode else LinearOracle)(tor_p4info)
+        oracle.resync(vrfs)
+        oracle.resync(vrfs[1:])  # the switch lost VRF 4
+        first = oracle.judge_batch([Update(UpdateType.INSERT, routes[0])], ok, None)
+        oracle.judge_batch(
+            [Update(UpdateType.DELETE, routes[0])], ok, read_back=[]
+        )  # ... and then VRF 5
+        second = oracle.judge_batch([Update(UpdateType.INSERT, routes[1])], ok, None)
+        logs[mode] = (_incident_tuples(first), _incident_tuples(second))
+    assert logs[True] == logs[False]
+    assert logs[True][0] and logs[True][1]
 
 
 def test_undecodable_entry_mismatches_every_batch_even_when_echoed(toy_p4info, monkeypatch):
@@ -292,7 +334,7 @@ def test_undecodable_entry_mismatches_every_batch_even_when_echoed(toy_p4info, m
     nothing = WriteResponse(statuses=())
     summaries = {}
     for mode in (True, False):
-        oracle = Oracle(toy_p4info, incremental=mode)
+        oracle = (Oracle if mode else LinearOracle)(toy_p4info)
         oracle.resync([good, broken])
         decodes = []
         real_decode = oracle_module.decode_table_entry
@@ -354,7 +396,7 @@ def test_per_table_read_order_preserved(tor_program, tor_p4info):
     vrf_ids = [4, 5, 6]
     switches = {}
     for mode in (True, False):
-        switch = ReferenceSwitch(tor_program, indexed=mode)
+        switch = (ReferenceSwitch if mode else LinearReferenceSwitch)(tor_program)
         assert switch.set_forwarding_pipeline_config(tor_p4info).ok
         for vid in vrf_ids:
             entry = b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction")
