@@ -61,15 +61,15 @@ def main() -> None:
     from dataclasses import replace
 
     from repro.p4.ast import Const
-    from repro.p4.programs.toy import ACTION_SET_NEXTHOP_PORT
 
+    set_nexthop_port = model.table("ipv4_tbl").actions_by_name["set_nexthop_id"]
     wrong_body = (
-        ACTION_SET_NEXTHOP_PORT.body[0],
+        set_nexthop_port.body[0],
         # The wrong model believes set_nexthop_id forwards everything out
         # of port 1 regardless of the argument.
-        replace(ACTION_SET_NEXTHOP_PORT.body[1], value=Const(1, 16)),
+        replace(set_nexthop_port.body[1], value=Const(1, 16)),
     )
-    wrong_action = replace(ACTION_SET_NEXTHOP_PORT, body=wrong_body)
+    wrong_action = replace(set_nexthop_port, body=wrong_body)
 
     def swap_action(table):
         from repro.p4.ast import ActionRef

@@ -2,8 +2,9 @@
 
 Each argument is either the name of a shipped program (``toy``, ``tor``,
 ``wan``, ``cerberus``) or a path to a ``.p4`` source file in the project
-dialect (e.g. ``p4src/sai_tor.p4``).  With no arguments, all shipped
-programs are linted — that is what the CI ``lint-model`` job runs.
+dialect (e.g. an edited copy of ``src/repro/p4/programs/sai_tor.p4``).  With
+no arguments, all shipped programs are linted — that is what the CI
+``lint-model`` job runs.
 
 ``--contract`` switches to cross-program mode: the named programs are
 compared pairwise as role instantiations of one controller API
@@ -68,7 +69,8 @@ def main(argv: List[str] = None) -> int:
         "specs",
         nargs="*",
         default=list(SHIPPED),
-        help="shipped program names (toy/tor/wan/cerberus) or .p4 paths "
+        help="shipped program names (toy/tor/wan/cerberus, loaded from "
+        "src/repro/p4/programs/*.p4) or .p4 paths "
         "(default: all shipped programs)",
     )
     ap.add_argument(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
-from repro.p4.programs.common import (
+from repro.p4.headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
     IP_PROTOCOL_ICMP,

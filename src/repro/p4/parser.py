@@ -103,6 +103,8 @@ class _Parser:
 
     def advance(self) -> Tuple[str, str]:
         token = self._tokens[self._pos]
+        if token[0] == "eof":
+            raise P4ParseError("unexpected end of input")
         self._pos += 1
         return token
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from repro.p4.programs.common import (
+from repro.p4.headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
     IP_PROTOCOL_ICMP,

@@ -10,7 +10,7 @@ codec to produce the same packets, the same bytes and the same errors.
 from typing import List, Optional
 
 from repro.bmv2.packet import Packet, PacketError
-from repro.p4.programs.common import (
+from repro.p4.headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
     IP_PROTOCOL_ICMP,

@@ -56,13 +56,13 @@ from repro.p4.ast import (
     assign,
     seq,
 )
+from repro.p4.headers import STANDARD_HEADERS
 from repro.p4.programs import (
     build_cerberus_program,
     build_tor_program,
     build_toy_program,
     build_wan_program,
 )
-from repro.p4.programs.common import COMMON_METADATA, STANDARD_HEADERS
 from repro.switch import PinsSwitchStack
 from repro.switch.model_faults import MODEL_TRANSFORMS, apply_model_faults
 from repro.switchv.campaign import CampaignConfig, run_fault_campaign
@@ -75,6 +75,7 @@ ALL_BUILDERS = [
     build_wan_program,
     build_cerberus_program,
 ]
+METADATA = build_tor_program().metadata
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +85,7 @@ def _program(*nodes, parser="ethernet_ipv4_ipv6"):
     return P4Program(
         name="synthetic",
         headers=STANDARD_HEADERS,
-        metadata=COMMON_METADATA,
+        metadata=METADATA,
         parser=ParserSpec(parser),
         ingress=Seq(tuple(nodes)),
         role="test",

@@ -17,7 +17,8 @@ from repro.bmv2.packet import make_ipv4_packet, make_ipv6_packet
 from repro.bmv2.simulator import Bmv2Simulator
 from repro.p4 import ast
 from repro.p4.ast import FieldRef, HashExpr, P4Program, ParserSpec, Seq, TableApply, assign
-from repro.p4.programs import common as lib
+from repro.p4.headers import STANDARD_HEADERS
+from repro.p4.programs import build_tor_program
 from repro.switch.faults import FaultRegistry
 from repro.symbolic import CoverageMode, PacketGenerator
 from repro.workloads import EntryBuilder, baseline_entries, production_like_entries
@@ -180,8 +181,8 @@ def _hash_program():
     )
     return P4Program(
         name="hash_only",
-        headers=lib.STANDARD_HEADERS,
-        metadata=lib.COMMON_METADATA,
+        headers=STANDARD_HEADERS,
+        metadata=build_tor_program().metadata,
         parser=ParserSpec("ethernet_ipv4_ipv6"),
         ingress=Seq((gate,)),
     )

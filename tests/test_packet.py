@@ -14,7 +14,7 @@ from repro.bmv2.packet import (
     parse_packet,
 )
 from repro.p4.ast import HeaderType
-from repro.p4.programs.common import (
+from repro.p4.headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
     IP_PROTOCOL_ICMP,
