@@ -165,6 +165,8 @@ class P4Fuzzer:
             solver_pool=self.solver_pool,
         )
         self.oracle = Oracle(p4info)
+        # The generator reads the oracle's projection in place.
+        self.generator.state = self.oracle
         # Greybox feedback: the tracker needs the P4 model (P4Info alone
         # can't drive the symbolic executor).  Guided mode additionally
         # biases the generator's table pick and the mutation try-order.
@@ -493,7 +495,6 @@ class P4Fuzzer:
                 self._needs_resync = False
         elif need_resync and read_back is None:
             self._needs_resync = True
-        self.generator.state.replace_all(self.oracle.installed_entries())
 
     def _window_read(
         self,

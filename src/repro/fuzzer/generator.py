@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.p4.ast import MatchKind
 from repro.p4.constraints import parse_constraint
 from repro.p4.constraints.lang import ConstraintSyntaxError
-from repro.p4.constraints.refs import ReferenceGraph
+from repro.p4.constraints.refs import AvailableState, ReferenceGraph
 from repro.p4.constraints.symbolic import SymbolicKeySet, encode_constraint
 from repro.p4.p4info import P4Info, TableInfo
 from repro.p4rt import codec
@@ -51,25 +51,31 @@ PORT_PARAM_NAMES = ("port",)
 
 @dataclass
 class GeneratorState:
-    """The fuzzer's view of what is installed (fed back from the oracle).
+    """A standalone installed-state view: ``entries`` (match key -> entry) and
+    their ``available`` state, rebuilt lazily after a change.  A campaign's
+    generator reads the oracle, which maintains the same pair in place."""
 
-    ``version`` increments on every mutation so consumers can cache derived
-    structures (the generator's referenceable-state index)."""
-
+    refs: Optional[ReferenceGraph] = None
     entries: Dict[Tuple, TableEntry] = field(default_factory=dict)
-    version: int = 0
+    _available: Optional[AvailableState] = field(default=None, init=False, repr=False)
+
+    @property
+    def available(self) -> AvailableState:
+        if self._available is None:
+            self._available = self.refs.collect_state(self.entries.values())
+        return self._available
 
     def install(self, entry: TableEntry) -> None:
         self.entries[entry.match_key()] = entry
-        self.version += 1
+        self._available = None
 
     def remove(self, entry: TableEntry) -> None:
         self.entries.pop(entry.match_key(), None)
-        self.version += 1
+        self._available = None
 
     def replace_all(self, entries: Sequence[TableEntry]) -> None:
         self.entries = {e.match_key(): e for e in entries}
-        self.version += 1
+        self._available = None
 
 
 class RequestGenerator:
@@ -98,9 +104,9 @@ class RequestGenerator:
         # assumptions (see repro.smt.minmodel's caveat).
         self._constraint_solvers: Dict[int, Tuple[Solver, Tuple[T.Term, ...]]] = {}
         self.refs = ReferenceGraph(p4info)
-        self.state = GeneratorState()
-        self._available_cache = None
-        self._available_version = -1
+        # The installed-state view: anything with ``entries`` and
+        # ``available`` (P4Fuzzer substitutes its oracle).
+        self.state = GeneratorState(self.refs)
         # Coverage-guided table selection: a callable mapping the candidate
         # pool to per-table weights (repro.fuzzer.feedback supplies it).
         # None keeps the uniform pick — and the blind rng stream — intact.
@@ -217,21 +223,15 @@ class RequestGenerator:
         coverage feedback loop's boundary-distance regions."""
         return self._constraint_models
 
-    def _available(self):
-        if self._available_cache is None or self._available_version != self.state.version:
-            self._available_cache = self.refs.collect_state(self.state.entries.values())
-            self._available_version = self.state.version
-        return self._available_cache
-
     def _references_satisfiable(self, table: TableInfo) -> bool:
-        available = self._available()
+        available = self.state.available
         return all(
             available.provides_keys(*demand) for demand in self.refs.demanded_keys[table.name]
         )
 
     def _referenced_values(self, target_table: str, target_key: str) -> List[int]:
         values: List[int] = []
-        for keyset in self._available().keysets(target_table):
+        for keyset in self.state.available.keysets(target_table):
             values.extend(value for key, value in keyset if key == target_key)
         return values
 
@@ -362,7 +362,7 @@ class RequestGenerator:
         groups = self.refs.action_reference_groups(action.name)
         if not groups:
             return {}
-        available = self._available()
+        available = self.state.available
         assigned: Dict[str, int] = {}
         ordered = sorted(groups.items(), key=lambda item: -len(item[1]))
         for target_table, pairs in ordered:

@@ -47,8 +47,8 @@ class MutatedUpdate:
 
 Mutator = Callable[[random.Random, P4Info, Update], Optional[MutatedUpdate]]
 # Stateful mutators additionally see the generator's installed-state view
-# (an object with an ``entries`` dict keyed by match_key — duck-typed to
-# GeneratorState), or None when the caller has no state to offer.
+# (``entries``, a dict keyed by match_key: a campaign's Oracle, or a
+# standalone GeneratorState), or None when the caller has no state to offer.
 StatefulMutator = Callable[
     [random.Random, P4Info, Update, Optional[object]], Optional[MutatedUpdate]
 ]

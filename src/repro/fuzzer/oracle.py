@@ -86,6 +86,14 @@ class Oracle:
         self._counts: Dict[int, int] = {}
         self._index = ReferenceIndex(self.refs)
         self._decoded: Dict[TableEntry, object] = {}
+        # Keys of `expected` not known to decode (adopted unjudged, or
+        # accepted though invalid); the rest passed `classify`'s decode.
+        self._unverified: Dict[Tuple, None] = {}
+
+    # The installed-state view RequestGenerator and the stateful mutators
+    # read (GeneratorState's pair), maintained in place.
+    entries = property(lambda self: self.expected)
+    available = property(lambda self: self._available_values())
 
     def constraint_incidents(self) -> IncidentLog:
         """Model incidents for tables whose @entry_restriction failed to
@@ -183,6 +191,8 @@ class Oracle:
                 # The switch claims it applied the entry; adopt it so the
                 # read-back comparison stays coherent.
                 self._apply(update)
+                if update.type is not UpdateType.DELETE:
+                    self._unverified[entry.match_key()] = None
             return
 
         # Valid update: state-dependent admissibility.
@@ -414,6 +424,23 @@ class Oracle:
     # Read-back validation
     # ------------------------------------------------------------------
     def _judge_read_back(self, read_back: Sequence[TableEntry], log: IncidentLog) -> None:
+        # The steady state: the read-back is the projection, in order (list
+        # equality tries identity before __eq__: an echoed entry costs one
+        # pointer compare).  With every entry known to decode, the diff would
+        # report nothing and adopt an equal dict.  Unverified entries are
+        # decoded here, once; one that fails sends each read-back to the diff.
+        if len(read_back) == len(self.expected) and list(read_back) == list(self.expected.values()):
+            self._unverified = dict.fromkeys(
+                key for key in self._unverified
+                if self._decode_cached(self.expected[key]) is _DECODE_FAILED
+            )
+            self._prune_decode_cache()
+            if not self._unverified:
+                return
+        self._diff_read_back(read_back, log)
+
+    def _diff_read_back(self, read_back: Sequence[TableEntry], log: IncidentLog) -> None:
+        """Entry-by-entry: report missing, unexpected and changed entries, then adopt."""
         observed: Dict[Tuple, TableEntry] = {}
         for entry in read_back:
             observed[entry.match_key()] = entry
@@ -535,11 +562,14 @@ class Oracle:
         for key in missing:
             self._index.delete(key)
             self._bump(self._key_table(key), -1)
+            self._unverified.pop(key, None)
         for key in extra:
             self._index.insert(key, observed[key])
             self._bump(self._key_table(key), +1)
+            self._unverified[key] = None
         for key in changed:
             self._index.replace(key, observed[key])
+            self._unverified[key] = None
         self.expected = observed
         self._prune_decode_cache()
 
@@ -577,6 +607,7 @@ class Oracle:
     # ------------------------------------------------------------------
     def _apply(self, update: Update) -> None:
         key = update.entry.match_key()
+        self._unverified.pop(key, None)
         if update.type is UpdateType.DELETE:
             if self.expected.pop(key, None) is None:
                 return

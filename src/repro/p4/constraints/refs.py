@@ -79,12 +79,15 @@ class AvailableState:
         # table -> key-name shape -> distinct available keysets of that
         # shape.  Same transitions as _by_pair.
         self._shapes: Dict[str, Dict[FrozenSet[str], int]] = {}
+        # table -> keysets() answer, dropped on the same transitions.
+        self._sorted: Dict[str, Tuple[KeySet, ...]] = {}
 
     def add(self, table: str, keyset: KeySet) -> None:
         counts = self._by_table.setdefault(table, {})
         count = counts.get(keyset, 0)
         counts[keyset] = count + 1
         if count == 0:
+            self._sorted.pop(table, None)
             shapes = self._shapes.setdefault(table, {})
             shape = frozenset(key for key, _value in keyset)
             shapes[shape] = shapes.get(shape, 0) + 1
@@ -98,6 +101,7 @@ class AvailableState:
         counts[keyset] -= 1
         if counts[keyset] <= 0:
             del counts[keyset]
+            self._sorted.pop(table, None)
             shapes = self._shapes[table]
             shape = frozenset(key for key, _value in keyset)
             shapes[shape] -= 1
@@ -139,11 +143,14 @@ class AvailableState:
         """Whether some available keyset of ``table`` carries all of ``keys``."""
         return any(keys <= shape for shape in self._shapes.get(table, ()))
 
-    def keysets(self, table: str) -> List[KeySet]:
+    def keysets(self, table: str) -> Tuple[KeySet, ...]:
         # Canonical order: dict iteration depends on insertion history, and
         # consumers feed these into seeded random choices — determinism of
-        # fuzz campaigns requires a stable order here.
-        return sorted(self._by_table.get(table, ()), key=lambda ks: sorted(ks))
+        # fuzz campaigns requires a stable order here.  Cached per table.
+        if table not in self._sorted:
+            keysets = self._by_table.get(table, ())
+            self._sorted[table] = tuple(sorted(keysets, key=lambda ks: sorted(ks)))
+        return self._sorted[table]
 
     def copy(self) -> "AvailableState":
         clone = AvailableState()

@@ -4,10 +4,12 @@ The oracle (:class:`repro.fuzzer.oracle.Oracle`), the reference switch
 (:class:`repro.switch.reference.ReferenceSwitch`) and the PINS P4Runtime
 layer (:class:`repro.switch.p4rt_server.P4RuntimeServer`) keep per-table
 counters, reverse-reference indices, table lookup indices and per-table
-read views so that no update, packet or read costs O(installed entries).
-The classes here answer every one of those questions the obvious way — by
-recomputing from the full store on each call — and are otherwise the
-production classes, unchanged.  ``tests/test_scale_differential.py``
+read views so that no update, packet or read costs O(installed entries),
+and the oracle judges a read-back equal to its projection in one positional
+pass.  The classes here answer every one of those questions the obvious
+way — by recomputing from the full store on each call, and diffing every
+read-back entry by entry — and are otherwise the production classes,
+unchanged.  ``tests/test_scale_differential.py``
 substitutes them for the production classes and demands byte-identical
 statuses, reads, forwarding and verdicts.
 """
@@ -22,7 +24,8 @@ from repro.switch.reference import ReferenceSwitch
 
 
 class LinearOracle(Oracle):
-    """The oracle with its referenceable state recomputed from ``expected``."""
+    """The oracle with its referenceable state recomputed from ``expected``,
+    and every read-back diffed entry by entry."""
 
     def __init__(self, p4info, strict_constraints: bool = False) -> None:
         super().__init__(p4info, strict_constraints)
@@ -43,6 +46,11 @@ class LinearOracle(Oracle):
             for other_key, entry in self.expected.items()
             if other_key != key
         )
+
+    def _judge_read_back(self, read_back, log) -> None:
+        # Every read-back takes the entry-by-entry diff: no positional
+        # shortcut, no decodability bookkeeping.
+        self._diff_read_back(read_back, log)
 
     def _adopt(self, observed, diff=None) -> None:
         self.expected = observed

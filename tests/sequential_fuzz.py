@@ -7,7 +7,8 @@ it into batches, and for each batch write it, read the state back, judge,
 adopt.  :class:`SequentialFuzzer` is that loop written out directly, with
 no windows, no scheduler and no footprints, so ``tests/test_pipeline.py``
 and ``tests/test_feedback.py`` can demand the same incident stream,
-counters, final state and modeled transport wait.
+counters, final state and modeled transport wait.  Its generator reads the
+oracle's projection in place, as ``P4Fuzzer``'s does.
 """
 
 from typing import List
@@ -85,7 +86,6 @@ class SequentialFuzzer(P4Fuzzer):
                 self._needs_resync = False
             else:
                 self._needs_resync = True
-            self.generator.state.replace_all(self.oracle.installed_entries())
             return
 
         # Without a fresh read-back (None), the oracle judges statuses only
@@ -121,8 +121,6 @@ class SequentialFuzzer(P4Fuzzer):
 
         log = self.oracle.judge_batch(batch, response, read_back)
         result.incidents.extend(log)
-        # Keep the generator's view in sync with the oracle's adopted state.
-        self.generator.state.replace_all(self.oracle.installed_entries())
         self._observe_coverage(batch, write_index)
 
     def _resync_oracle(self, result: FuzzResult) -> bool:
@@ -154,7 +152,6 @@ class SequentialFuzzer(P4Fuzzer):
             )
             return False
         self.oracle.resync(read_back)
-        self.generator.state.replace_all(self.oracle.installed_entries())
         return True
 
     def _last_write_wait(self) -> float:

@@ -2,10 +2,12 @@
 
 ``tests/pairwise_batching.py`` holds the quadratic definition; everything
 here requires ``repro.fuzzer.batching`` / ``WriteScheduler`` /
-``AvailableState.provides_keys`` to agree with a slower, obviously-right
-answer, or counts decodes (never wall time) to pin the complexity.
+``AvailableState.provides_keys`` / ``keysets`` to agree with a slower,
+obviously-right answer, or counts decodes (never wall time) to pin the
+complexity.
 """
 
+import collections
 import hashlib
 import random
 
@@ -99,7 +101,7 @@ def test_make_batches_decodes_each_update_once(tor_p4info, monkeypatch, count):
 def _satisfiable_spec(generator, table):
     """The generator's former existence test: materialise every installed
     keyset of every referenced table and look for one with the keys."""
-    available = generator._available()
+    available = generator.state.available
     for mf in table.match_fields:
         target = generator.refs.edges.get((table.name, mf.name))
         if target and not generator._referenced_values(*target):
@@ -160,34 +162,45 @@ _OPS = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_provides_keys_equals_brute_force_over_keysets(ops):
-    """Duplicate keysets push refcounts past 1; removes of absent keysets
-    are no-ops; a copy must carry the index and then diverge from its
-    original without disturbing it."""
+    """`provides_keys` and the cached, sorted `keysets` against a plain
+    refcount model.  Duplicate keysets push refcounts past 1; removes of
+    absent keysets are no-ops; a copy must carry the index and then diverge
+    from its original without disturbing it (nor its cached answers)."""
     state = AvailableState()
+    model = collections.Counter()  # (table, keyset) -> installed copies
     frozen = []  # (a state left behind by copy(), what it answered then)
     for op, table, keyset in ops:
         if op == "add":
             state.add(table, keyset)
+            model[table, keyset] += 1
         elif op == "remove":
             state.remove(table, keyset)
+            if model[table, keyset]:
+                model[table, keyset] -= 1
         else:
-            frozen.append((state, _brute_force(state)))
-            state = state.copy()
-        assert _answers(state) == _brute_force(state)
+            frozen.append((state, _brute_force(model)))
+            state, model = state.copy(), model.copy()
+        assert _answers(state) == _brute_force(model)
     for original, expected in frozen:
         assert _answers(original) == expected
 
 
 def _answers(state):
-    return {(t, q): state.provides_keys(t, q) for t in _TABLES for q in _QUERIES}
+    answers = {(t, q): state.provides_keys(t, q) for t in _TABLES for q in _QUERIES}
+    answers.update({t: state.keysets(t) for t in _TABLES})
+    return answers
 
 
-def _brute_force(state):
-    return {
-        (t, q): any(q <= {key for key, _value in keyset} for keyset in state.keysets(t))
-        for t in _TABLES
-        for q in _QUERIES
-    }
+def _brute_force(model):
+    answers = {}
+    for t in _TABLES:
+        keysets = tuple(
+            sorted((ks for (table, ks), copies in model.items() if table == t and copies), key=sorted)
+        )
+        answers[t] = keysets
+        for q in _QUERIES:
+            answers[t, q] = any(q <= {key for key, _value in ks} for ks in keysets)
+    return answers
 
 
 class _RecordingStack(PinsSwitchStack):

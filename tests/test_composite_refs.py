@@ -63,11 +63,11 @@ class TestReferenceGraph:
         state = AvailableState()
         for value in (3, 1, 2):
             state.add("t", frozenset({("k", value)}))
-        assert state.keysets("t") == [
+        assert state.keysets("t") == (
             frozenset({("k", 1)}),
             frozenset({("k", 2)}),
             frozenset({("k", 3)}),
-        ]
+        )
 
     def test_depends_on_composite(self, tor_p4info, tor_builder):
         refs = ReferenceGraph(tor_p4info)

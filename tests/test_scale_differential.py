@@ -22,6 +22,7 @@ from repro.fuzzer import oracle as oracle_module
 from repro.fuzzer.fuzzer import FuzzerConfig, P4Fuzzer
 from repro.fuzzer.oracle import Oracle
 from repro.p4rt.messages import (
+    ActionInvocation,
     ReadRequest,
     Update,
     UpdateType,
@@ -321,8 +322,8 @@ def test_adopted_loss_releases_references_across_modes(tor_p4info):
 
 
 def test_undecodable_entry_mismatches_every_batch_even_when_echoed(toy_p4info, monkeypatch):
-    """A read-back that returns the very entry the oracle expects is
-    answered with one decode-cache probe — and an entry that does not
+    """A read-back equal to the projection takes the positional fast path
+    only when every entry is known to decode — an entry that does not
     decode still mismatches on every batch, in both modes, whether the
     switch echoes the same object or an equal copy."""
     b = EntryBuilder(toy_p4info)
@@ -349,20 +350,95 @@ def test_undecodable_entry_mismatches_every_batch_even_when_echoed(toy_p4info, m
         monkeypatch.setattr(
             Oracle, "_decode_cached", lambda self, e: probes.append(e) or real_probe(self, e)
         )
-        per_batch = []
+        per_batch, probes_per_batch = [], []
         for echoed in (broken, replace(broken), broken):
             assert echoed == broken
+            before = len(probes)
             log = oracle.judge_batch([], nothing, read_back=[good, echoed])
             per_batch.append(_readback_kinds(log))
+            probes_per_batch.append(len(probes) - before)
         monkeypatch.undo()
         assert all(len(kinds) == 1 and "content differs" in kinds[0] for kinds in per_batch)
         summaries[mode] = per_batch
         if mode:
-            # One decode per distinct wire entry for the oracle's lifetime,
-            # one cache probe per echoed entry per batch.
+            # One decode per distinct wire entry for the oracle's lifetime.
+            # The first read-back verifies both resynced entries (2 probes);
+            # `broken` fails, so every read-back re-probes it (1) and takes
+            # the diff, which probes each echoed entry once (2).
             assert len(decodes) == 2
-            assert len(probes) == 2 * len(per_batch)
+            assert probes_per_batch == [4, 3, 3]
     assert summaries[True] == summaries[False]
+
+
+# case -> (read-backs of three the production oracle diffs entry by entry,
+#          whether the first read-back reports anything)
+_READ_BACK_CASES = {
+    "echoed": (0, False),
+    "equal_copies": (0, False),
+    "reordered": (1, False),
+    "one_dropped": (1, True),
+    "action_changed": (1, True),
+    "changed_to_undecodable": (3, True),
+    "undecodable_echoed": (3, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READ_BACK_CASES))
+def test_read_back_fast_path_equals_the_diff_spec(case, tor_p4info, monkeypatch):
+    """The oracle's positional fast path against the linear oracle, which
+    diffs every read-back entry by entry: three read-backs per case must
+    report the same incidents and leave the same adopted state (content
+    and order).  Part of the state is adopted unjudged (verified lazily),
+    part arrives through judged inserts (decoded by `classify`); the
+    undecodable cases add an invalid insert the switch accepted, or read an
+    entry back changed into an undecodable one: either must mismatch on
+    every read-back."""
+    b = EntryBuilder(tor_p4info)
+    adopted = [b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction") for vid in (4, 5)]
+    routes = [
+        b.lpm("ipv4_tbl", {"vrf_id": 4}, "ipv4_dst", prefix, 16, action)
+        for prefix, action in ((0x0A010000, "drop"), (0x0A020000, "drop"), (0x0A020000, "trap"))
+    ]
+    inserted = routes[:2]
+    if case == "undecodable_echoed":
+        vrf = b.exact("vrf_tbl", {"vrf_id": 6}, "NoAction")
+        padded = replace(vrf.matches[0], value=b"\x00" + vrf.matches[0].value)
+        inserted.append(replace(vrf, matches=(padded,)))
+    state = adopted + inserted
+    read_back = {
+        "echoed": state,
+        "equal_copies": [replace(e) for e in state],
+        "reordered": state[::-1],
+        "one_dropped": state[:-1],
+        "action_changed": state[:-1] + routes[2:],
+        "changed_to_undecodable": state[:-1] + [replace(state[-1], action=ActionInvocation(1, ()))],
+        "undecodable_echoed": state,
+    }[case]
+    diffs = []
+    real_diff = Oracle._diff_read_back
+    monkeypatch.setattr(
+        Oracle, "_diff_read_back", lambda self, *args: diffs.append(1) or real_diff(self, *args)
+    )
+    outcomes = {}
+    for mode in (True, False):
+        oracle = (Oracle if mode else LinearOracle)(tor_p4info)
+        oracle.resync(adopted)
+        ok = WriteResponse(statuses=tuple(Status() for _ in inserted))
+        first = oracle.judge_batch([Update(UpdateType.INSERT, e) for e in inserted], ok, None)
+        logs = [
+            _incident_tuples(oracle.judge_batch([], WriteResponse(statuses=()), list(read_back)))
+            for _ in range(3)
+        ]
+        outcomes[mode] = (_incident_tuples(first), logs, list(oracle.expected.items()))
+        if mode:
+            assert (len(diffs), bool(logs[0])) == _READ_BACK_CASES[case]
+    assert outcomes[True] == outcomes[False]
+    assert [entry for _key, entry in outcomes[True][2]] == list(read_back)
+    if "undecodable" in case:
+        for log in outcomes[True][1]:
+            assert [(kind, summary[:21]) for kind, summary, *_ in log] == [
+                (IncidentKind.READBACK_MISMATCH, "entry content differs")
+            ]
 
 
 def test_seeded_hash_fields_cannot_alias():

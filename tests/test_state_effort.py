@@ -16,6 +16,11 @@ against states pre-seeded with 1k and with 10k ToR entries must make
 The 10k state is the 1k state plus 9k routes in a VRF the probes never
 enter, so any per-update or per-packet work proportional to the store
 shows up as a count difference.
+
+The fuzz loop is gated per window on the same two states: no
+``collect_state``, no ``Oracle._same_entry`` (the entry-by-entry read-back
+comparison), and ``TableEntry.match_key`` calls bounded by a constant times
+the window's update count.
 """
 
 import collections
@@ -26,10 +31,11 @@ import pytest
 from repro.bmv2.index import TableIndex
 from repro.bmv2.interpreter import Interpreter
 from repro.bmv2.packet import deparse_packet, make_ipv4_packet
+from repro.fuzzer import FuzzerConfig, P4Fuzzer
 from repro.fuzzer.oracle import Oracle
 from repro.p4.constraints.refs import ReferenceGraph
 from repro.p4.programs import build_tor_program
-from repro.p4rt.messages import Update, UpdateType, WriteRequest
+from repro.p4rt.messages import ReadRequest, TableEntry, Update, UpdateType, WriteRequest
 from repro.switch import PinsSwitchStack, ReferenceSwitch
 from repro.workloads import EntryBuilder, production_like_entries
 from repro.workloads.scale import production_scale_program
@@ -192,6 +198,72 @@ def test_oracle_churn_is_flat(workload, counts):
         )
     _assert_flat(per_size)
     assert sum(step[1] for step in per_size[LARGE]) >= 30
+
+
+# Generating (a stateful mutation), batching and judging an update each
+# compute its identity; about 3 per update is what the loop needs.
+MATCH_KEYS_PER_UPDATE = 4
+
+
+def test_fuzz_loop_windows_are_flat(workload, monkeypatch):
+    """A short P4Fuzzer campaign against a PINS stack pre-seeded with 1k and
+    with 10k entries, its oracle resynced from the stack's read-back.  On a
+    healthy switch no window rebuilds the referenceable state, compares the
+    read-back entry by entry, or computes entry identities for more than
+    the window's own updates (generating, batching, judging them)."""
+    program, p4info, states, _updates, _packets = workload
+    calls = collections.Counter()
+    for owner, name in (
+        (ReferenceGraph, "collect_state"),
+        (Oracle, "_same_entry"),
+        (TableEntry, "match_key"),
+    ):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    windows = []  # (updates, collect_state, _same_entry, match_key) per window
+    before = collections.Counter()
+    real_judge = P4Fuzzer._judge_window
+
+    def judge_window(self, outcomes, *args):
+        real_judge(self, outcomes, *args)
+        delta = collections.Counter(calls)
+        delta.subtract(before)
+        before.clear()
+        before.update(calls)
+        windows.append(
+            (sum(len(o.batch) for o in outcomes), delta["collect_state"],
+             delta["_same_entry"], delta["match_key"])
+        )
+
+    monkeypatch.setattr(P4Fuzzer, "_judge_window", judge_window)
+    per_size = {}
+    for size, entries in states.items():
+        stack = PinsSwitchStack(program)
+        assert stack.set_forwarding_pipeline_config(p4info).ok
+        for start in range(0, len(entries), 500):
+            batch = entries[start : start + 500]
+            stack.write(WriteRequest(updates=tuple(Update(UpdateType.INSERT, e) for e in batch)))
+        fuzzer = P4Fuzzer(
+            p4info, stack, FuzzerConfig(num_writes=8, updates_per_write=20, seed=5)
+        )
+        fuzzer.oracle.resync(stack.read(ReadRequest()).entries)
+        assert len(fuzzer.oracle.expected) == len(entries)
+        windows.clear()
+        before.clear()
+        before.update(calls)
+        result = fuzzer.run()
+        assert result.incidents.count == 0 and result.updates_sent >= 100
+        per_size[size] = list(windows)
+    for size, rows in per_size.items():
+        assert len(rows) > 8, size
+        for updates, collect_state, same_entry, match_key in rows:
+            assert (collect_state, same_entry) == (0, 0), size
+            assert match_key <= MATCH_KEYS_PER_UPDATE * updates, (size, updates, match_key)
 
 
 def test_packet_lookups_are_flat(workload, counts):
