@@ -1,9 +1,9 @@
 """Warm-pool identity smoke (the file name predates what is left in it).
 
 A fuzzing campaign validates a *sequence* of table states, and a shared
-:class:`SolverPool` keeps the bit-blasted encoding, learned clauses and
-solved-formula results alive across them.  That must be invisible in the
-results: warm-pool runs emit byte-identical packets to cold runs because
+:class:`SolverPool` keeps solved-formula results alive across them (the
+solvers themselves live for one state).  That must be invisible in the
+results: memoised answers are byte-identical to fresh solves because
 witnesses are canonicalised, never read off the solver's history-dependent
 model (``repro.symbolic.packets``).  The smoke test below gates CI.
 
@@ -76,7 +76,8 @@ def test_warm_pool_results_identical_smoke():
 
         cold = PacketGenerator(program, state).generate(CoverageMode.ENTRY)
         pool = SolverPool()
-        # First pooled run fills the pool; the second runs fully warm.
+        # First pooled run fills the formula memo; the second answers every
+        # attempt from it without solving.
         PacketGenerator(program, state, solver_pool=pool).generate(CoverageMode.ENTRY)
         warm = PacketGenerator(program, state, solver_pool=pool).generate(
             CoverageMode.ENTRY

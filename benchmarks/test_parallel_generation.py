@@ -9,11 +9,11 @@ on top of the paper's whole-run cache:
 * **Per-goal caching** — a warm re-run (zero solver queries), and the §6.3
   refinement: after editing one table entry, only the goals whose solved
   formulas mention it are re-solved.
-* **Cross-state solver pooling** — the same single-entry-edit replay
-  through a shared :class:`~repro.smt.pool.SolverPool`, which keeps the
-  bit-blasted encoding, learned clauses, and solved-formula results alive
-  across states (see ``benchmarks/test_compiled_eval.py`` for the full
-  edit-sequence table).
+* **Cross-state formula memo** — the same single-entry-edit replay
+  through a shared :class:`~repro.smt.pool.SolverPool`, which keeps
+  solved-formula results alive across states; the goals an edit changed
+  are solved on solvers built for the edited state (the ``symbolic_churn``
+  workload of ``python3 -m bench run`` times a whole edit sequence).
 
 Run with ``REPRO_BENCH_SCALE=paper`` for the full 798-entry workload.
 """
@@ -120,7 +120,7 @@ def test_per_goal_cache_reuse(scale):
 
     # The same edit replayed through a warm SolverPool (no goal cache):
     # the pool answers unchanged solved formulas from its memo, so only
-    # edit-affected goals touch a solver — and that solver is warm.
+    # edit-affected goals touch a solver — one built for this state.
     pool = SolverPool()
     _timed_generate(program, state, pool=pool)  # warm the pool on state 0
     pool_seconds, pooled = _timed_generate(program, edited_state, pool=pool)

@@ -151,11 +151,10 @@ class P4Fuzzer:
         self.switch = switch
         self.config = config or FuzzerConfig()
         self.rng = random.Random(self.config.seed)
-        # The harness hands its SolverPool down so the generator's
-        # per-table constraint solvers stay warm across campaigns; None
-        # means private cold solvers.  Generated request streams are
-        # identical either way (model blocking rides on check()
-        # assumptions, and cached constraint models are canonical).
+        # The harness hands its SolverPool down so the generator's sampled
+        # per-table constraint models carry over between campaigns; None
+        # means every campaign solves its own.  Generated request streams
+        # are identical either way (cached constraint models are canonical).
         self.solver_pool = solver_pool
         self.generator = RequestGenerator(
             p4info,

@@ -92,12 +92,11 @@ class RequestGenerator:
         self.p4info = p4info
         self.rng = rng
         self.valid_ports = tuple(valid_ports)
-        # Per-table constraint solvers come from the pool when one is
-        # supplied (shared with the harness's packet-generation solvers),
-        # falling back to a private cache otherwise.  Either way the solver
-        # outlives a single sampling round: model blocking happens through
-        # check() assumptions, never permanent assertions, so the encoding
-        # stays clean and reusable across campaigns.
+        # A SolverPool supplies only its memo of sampled constraint models,
+        # so a later campaign on the same pool skips the solve.  Per-table
+        # constraint solvers are this generator's own; each outlives a
+        # single sampling round, since model blocking happens through
+        # check() assumptions, never permanent assertions.
         self._pool = solver_pool
         # table.id -> (solver, constraint terms).  The constraints ride
         # along because canonical model extraction must see them as
@@ -416,18 +415,8 @@ class RequestGenerator:
                     keys.wellformedness(),
                     encode_constraint(self._constraints[table.id], keys),
                 )
-                if self._pool is not None:
-                    # Key variables are named per table, so the encoding is
-                    # table-specific; hash-consing makes the constraint
-                    # terms identical across campaigns and the pool asserts
-                    # them exactly once.
-                    solver = self._pool.solver(
-                        ("fuzzer-keys", self.p4info.program_name, table.name),
-                        constraints,
-                    )
-                else:
-                    solver = Solver()
-                    solver.add(*constraints)
+                solver = Solver()
+                solver.add(*constraints)
                 entry = (solver, constraints)
                 self._constraint_solvers[table.id] = entry
             solver, constraints = entry
@@ -444,12 +433,11 @@ class RequestGenerator:
             # blockers ride along as check() assumptions rather than
             # permanent assertions, so the cached solver still encodes
             # exactly wellformedness ∧ constraint afterwards and stays
-            # reusable (across campaigns, and by anyone sharing the pool).
-            # Each model is the *lexicographically minimal* one under the
-            # current blockers — a pure function of the constraint terms,
-            # so pool warmth cannot change the request stream (the
-            # constraints are passed as assumptions because minmodel's
-            # evaluator fast path only sees assumptions).
+            # reusable.  Each model is the *lexicographically minimal* one
+            # under the current blockers — a pure function of the
+            # constraint terms, so the pool's memo cannot change the
+            # request stream (the constraints are passed as assumptions
+            # because minmodel's evaluator fast path only sees assumptions).
             blocks: List[T.Term] = []
             for _ in range(4):
                 model = minimal_assignment(

@@ -1,33 +1,33 @@
-"""Cross-state solver pooling for incremental packet generation.
+"""Cross-state memo of solved formulas, plus keyed solvers for re-linting.
 
 The harness validates a *sequence* of table states (fuzzing batches, churn
-replays, single-entry edits).  Constructing a fresh :class:`Solver` per
-state re-bit-blasts the entire program encoding even though the profile
-constraints — parser pins, port validity, exclusions — are identical across
-states, and the goal conditions mostly share structure with the previous
-state's (hash-consing gives the *same term objects* for unchanged
-subformulas).
+replays, single-entry edits).  Hash-consing gives the *same term object*
+for every goal formula an edit left unchanged, so a :class:`SolverPool`
+memoises each solved formula's outcome — its canonical witness, or UNSAT —
+by identity, and the next state answers those formulas without any SAT
+work.  The fuzzer keeps its sampled per-table constraint models in the
+same pool (:attr:`SolverPool.memo`), so a second campaign skips the solve.
 
-A :class:`SolverPool` keeps one long-lived solver per key (per
-(program, profile) for generation, per table for the fuzzer's constraint
-models).  Only the state-independent constraint groups are ever asserted
-permanently; per-state goal conditions flow in through
-``Solver.check(assumptions)``, whose root gate literals act as the
-activation literals — flipping which condition is "on" is a new assumption
-set against the same encoding, reusing the blaster's per-term caches and
-the SAT solver's learned clauses (``SatSolver.solve(assumptions)``).
-Editing one entry therefore re-encodes only the conditions that
-structurally mention it; everything else hits the cache.
+Packet generation does *not* keep solvers across states: each table state
+gets one fresh solver per parser profile.  A long-lived solver accumulates
+every earlier state's encoding, and CDCL re-assigns all of it on every
+check, so it saves conflicts but not propagations.  On the benchmark's
+``symbolic_churn`` (ToR, 80 entries, seed 1) the cold base state takes
+130,461 propagations; with solvers kept across states the four solved
+edits took 171,304 / 211,984 / 274,287 / 286,526 — every edit dearer than
+validating cold, and rising — and with one solver per state they take
+102,770 / 97,604 / 97,107 / 105,870.  Witnesses are canonical (pure
+functions of the formula), so which solver answers never reaches the
+packets; that is also what makes the memo sound.
 
-Soundness: fresh-variable names (``name#counter``) collide across states,
-but those are shared *free* variables and only one state's condition is
-assumed per check, so a pooled solver can never mix constraints from two
-states.  The accumulated encoding grows monotonically; stale definitional
-clauses are satisfiable on their own and cost only memory.
+:meth:`SolverPool.solver` still hands out long-lived keyed solvers with
+assert-once constraints, for :mod:`repro.analysis`, which re-lints the same
+program's formulas: per-check conditions flow in through
+``Solver.check(assumptions)``, whose root gate literals act as activation
+literals.
 
-Pools fork cleanly: parallel shard workers inherit a warm pool through
-fork's copy-on-write memory and keep solving against the parent's learned
-clauses.
+Pools fork cleanly: parallel shard workers inherit the memo through fork's
+copy-on-write memory.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ MISS = object()
 
 
 class SolverPool:
-    """Keyed, long-lived incremental solvers with assert-once constraints."""
+    """Solved-formula memo, side memo, and keyed long-lived solvers."""
 
     def __init__(self) -> None:
         self._solvers: Dict[PoolKey, Solver] = {}
@@ -59,8 +59,7 @@ class SolverPool:
         # solver history — so across table states every goal whose solved
         # formula is unchanged (the same hash-consed term) is answered here
         # without touching a solver.  Only the formulas a table edit
-        # actually changed reach the warm solver, which in turn re-encodes
-        # only their changed subterms.
+        # actually changed reach a solver.
         self._formula_results: Dict[Tuple[str, T.Term], Optional[Dict[str, int]]] = {}
         # General-purpose side memo for derived artifacts whose first
         # (cold) computation is deterministic — e.g. the fuzzer's sampled
@@ -121,11 +120,6 @@ class SolverPool:
 
     def __contains__(self, key: PoolKey) -> bool:
         return key in self._solvers
-
-    def discard(self, key: PoolKey) -> None:
-        """Drop one solver (e.g. after an encoding reaches a size budget)."""
-        self._solvers.pop(key, None)
-        self._asserted.pop(key, None)
 
     def clear(self) -> None:
         self._solvers.clear()

@@ -156,12 +156,13 @@ class SwitchVHarness:
         # found simulator bugs too; they surface as mismatches like any
         # other divergence).
         self.simulator_faults = simulator_faults
-        # Cross-state incremental solving: one pool of per-(program,
-        # profile) solvers — plus the fuzzer's per-table constraint solvers
-        # — kept warm across every table state this harness validates
-        # (fuzzing batches, churn replays, re-validation after an edit).
-        # Witness packets are canonical (solver-history-independent), so a
-        # warm pool produces byte-identical results to a cold run.
+        # Cross-state memo: solved goal formulas (and the fuzzer's sampled
+        # constraint models) kept across every table state this harness
+        # validates (fuzzing batches, churn replays, re-validation after an
+        # edit), so only the formulas an edit changed are solved again, on
+        # solvers built for that state.  Witness packets are canonical
+        # (solver-history-independent), so memoised answers are
+        # byte-identical to fresh ones.
         self.solver_pool = solver_pool if solver_pool is not None else SolverPool()
 
     def _lint_gate(self, report: ValidationReport) -> bool:

@@ -118,18 +118,17 @@ class PacketGenerator:
         self.program = program
         self.state = state
         self.valid_ports = tuple(valid_ports)
-        # When a SolverPool is supplied, per-profile solvers are borrowed
-        # from it instead of built fresh: across table states the profile
-        # constraints are identical and unchanged goal subformulas are the
-        # *same* hash-consed terms, so a warm solver reuses its CNF
-        # encoding and learned clauses and only encodes what an edit
-        # actually changed.
+        # A SolverPool supplies only its solved-formula memo: across table
+        # states, an attempt whose formula is the same hash-consed term is
+        # answered without solving.  The per-profile solvers live for this
+        # table state alone — a solver carried across states accumulates
+        # every earlier state's encoding, and CDCL re-assigns all of it on
+        # every check (see repro.smt.pool).
         self._pool = solver_pool
         self._executions: Optional[List[ProfileExecution]] = None
         self._solvers: Dict[str, Solver] = {}
-        # SAT-effort counters of each solver at acquisition time: pooled
-        # solvers arrive with lifetime counters, and stats must only report
-        # the effort this generator caused.
+        # SAT-effort counters of each solver once its profile constraints
+        # are asserted: stats report only the work the goals caused.
         self._effort_base: Dict[str, tuple] = {}
         self._constraint_digests: Dict[str, str] = {}
         # Background/soft-dst refinements memoised per
@@ -157,16 +156,9 @@ class PacketGenerator:
             # Trace/output terms were already simplified by the executor;
             # re-simplifying every (large) goal assumption inside the solver
             # costs more than it saves.
-            if self._pool is not None:
-                solver = self._pool.solver(
-                    ("packets", self.program.name, name),
-                    execution.constraints,
-                    simplify_terms=False,
-                )
-            else:
-                solver = Solver(simplify_terms=False)
-                for constraint in execution.constraints:
-                    solver.add(constraint)
+            solver = Solver(simplify_terms=False)
+            for constraint in execution.constraints:
+                solver.add(constraint)
             self._solvers[name] = solver
             s = solver.stats
             self._effort_base[name] = (
@@ -252,8 +244,8 @@ class PacketGenerator:
         """Cumulative (conflicts, decisions, propagations, sat vars, cnf
         clauses, gates shared) over all solvers.
 
-        Measured relative to each solver's counters at acquisition, so a
-        warm pooled solver only contributes work this generator caused.
+        Measured relative to each solver's counters once its profile
+        constraints are asserted, so only goal work is counted.
         """
         totals = [0] * 6
         for name, solver in self._solvers.items():
@@ -351,7 +343,7 @@ class PacketGenerator:
                 # so the pool memoises outcomes by formula identity: across
                 # table states, every attempt whose formula is unchanged —
                 # the same hash-consed term — is answered here, and only
-                # edit-affected formulas reach the warm solver.
+                # edit-affected formulas reach this state's solver.
                 key = None
                 if self._pool is not None:
                     formula = T.and_(*execution.constraints, *assumptions)
@@ -379,11 +371,13 @@ class PacketGenerator:
     # ------------------------------------------------------------------
     # A CDCL model is an accident of solver history: phase saving, learned
     # clauses, and activity orders all feed into which satisfying assignment
-    # comes out, so a warm pooled solver (or a forked worker) would emit
-    # different — equally valid — packets than a cold run.  To keep results
-    # byte-identical across solver histories, the model is never used
-    # directly.  Instead, every input variable the solved formula mentions
-    # is pinned to the first value in a history-independent candidate order
+    # comes out, so a solver that answered other goals first (or a forked
+    # worker) would emit different — equally valid — packets than a solver
+    # that did not, and a memoised witness would differ from a fresh one.
+    # To keep results byte-identical across solver histories, the model is
+    # never used directly.  Instead, every input variable the solved
+    # formula mentions is pinned to the first value in a history-independent
+    # candidate order
     # (structural pin from the assumptions, hint mined from masked-equality
     # conjuncts, background value, zero, then per-bit descent) that keeps
     # the formula satisfiable.  "Keeps satisfiable" is decided by the

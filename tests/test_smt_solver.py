@@ -641,10 +641,6 @@ class TestSolverPool:
         pool.solver(("k",), [x.ult(10)])
         pool.store_formula(("p", x.eq(1)), {"px": 1})
         pool.memo[("m",)] = [1, 2]
-        pool.discard(("k",))
-        assert ("k",) not in pool
-        fresh = pool.solver(("k",), [x.ult(10)])
-        assert len(fresh.assertions) == 1  # re-asserted after discard
         pool.clear()
         assert len(pool) == 0
         assert pool.lookup_formula(("p", x.eq(1))) is MISS
