@@ -18,13 +18,13 @@ constraint-aware mode sketched in §7 is available via
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.fuzzer.oracle import GeneratorState
 from repro.p4.ast import MatchKind
 from repro.p4.constraints import parse_constraint
 from repro.p4.constraints.lang import ConstraintSyntaxError
-from repro.p4.constraints.refs import AvailableState, ReferenceGraph
+from repro.p4.constraints.refs import ReferenceGraph
 from repro.p4.constraints.symbolic import SymbolicKeySet, encode_constraint
 from repro.p4.p4info import P4Info, TableInfo
 from repro.p4rt import codec
@@ -47,35 +47,6 @@ from repro.smt.pool import SolverPool
 # arbitrary bit patterns.  The fuzzer's Invalid-Resource mutation perturbs
 # exactly these.
 PORT_PARAM_NAMES = ("port",)
-
-
-@dataclass
-class GeneratorState:
-    """A standalone installed-state view: ``entries`` (match key -> entry) and
-    their ``available`` state, rebuilt lazily after a change.  A campaign's
-    generator reads the oracle, which maintains the same pair in place."""
-
-    refs: Optional[ReferenceGraph] = None
-    entries: Dict[Tuple, TableEntry] = field(default_factory=dict)
-    _available: Optional[AvailableState] = field(default=None, init=False, repr=False)
-
-    @property
-    def available(self) -> AvailableState:
-        if self._available is None:
-            self._available = self.refs.collect_state(self.entries.values())
-        return self._available
-
-    def install(self, entry: TableEntry) -> None:
-        self.entries[entry.match_key()] = entry
-        self._available = None
-
-    def remove(self, entry: TableEntry) -> None:
-        self.entries.pop(entry.match_key(), None)
-        self._available = None
-
-    def replace_all(self, entries: Sequence[TableEntry]) -> None:
-        self.entries = {e.match_key(): e for e in entries}
-        self._available = None
 
 
 class RequestGenerator:
@@ -103,9 +74,26 @@ class RequestGenerator:
         # assumptions (see repro.smt.minmodel's caveat).
         self._constraint_solvers: Dict[int, Tuple[Solver, Tuple[T.Term, ...]]] = {}
         self.refs = ReferenceGraph(p4info)
-        # The installed-state view: anything with ``entries`` and
-        # ``available`` (P4Fuzzer substitutes its oracle).
-        self.state = GeneratorState(self.refs)
+        # The installed-state view: anything with ``entries``, ``available``,
+        # ``victims`` and ``known_victims`` (P4Fuzzer substitutes its oracle).
+        self.state = GeneratorState(p4info)
+        # Derived from the view, rebuilt only when what they read changes:
+        # (target table, keys) -> (the keysets() tuple read, value rows), and
+        # (AvailableState, its version, the satisfiable table pool).
+        self._referenced: Dict[Tuple, Tuple[Tuple, List[Tuple[int, ...]]]] = {}
+        self._table_pool: Tuple = (None, 0, [])
+        # action name -> [(target table, params, target keys)], one per
+        # reference group, most-constrained first.
+        self._reference_plans = {
+            action.name: [
+                (table, *zip(*pairs))
+                for table, pairs in sorted(
+                    self.refs.action_reference_groups(action.name).items(),
+                    key=lambda group: -len(group[1]),
+                )
+            ]
+            for action in p4info.actions.values()
+        }
         # Coverage-guided table selection: a callable mapping the candidate
         # pool to per-table weights (repro.fuzzer.feedback supplies it).
         # None keeps the uniform pick — and the blind rng stream — intact.
@@ -142,11 +130,7 @@ class RequestGenerator:
         return Update(UpdateType.INSERT, entry)
 
     def generate_modify(self) -> Optional[Update]:
-        candidates = [
-            e
-            for e in self.state.entries.values()
-            if self.p4info.tables.get(e.table_id) is not None
-        ]
+        candidates = self.state.known_victims
         if not candidates:
             return None
         existing = self.rng.choice(candidates)
@@ -165,7 +149,7 @@ class RequestGenerator:
         )
 
     def generate_delete(self) -> Optional[Update]:
-        candidates = list(self.state.entries.values())
+        candidates = self.state.victims
         if not candidates:
             return None
         # Prefer deleting entries nothing else references, so valid deletes
@@ -205,12 +189,16 @@ class RequestGenerator:
     def _pick_table(self, table_id: Optional[int]) -> Optional[TableInfo]:
         if table_id is not None:
             return self.p4info.tables.get(table_id)
-        tables = list(self.p4info.tables.values())
-        if not tables:
+        if not self.p4info.tables:
             return None
-        # Weight towards tables whose references are satisfiable right now.
-        satisfiable = [t for t in tables if self._references_satisfiable(t)]
-        pool = satisfiable or tables
+        # Weight towards tables whose references are satisfiable right now:
+        # a pool that changes only on an AvailableState 0<->1 transition.
+        available = self.state.available
+        if self._table_pool[0] is not available or self._table_pool[1] != available.version:
+            tables = list(self.p4info.tables.values())
+            pool = [t for t in tables if self._references_satisfiable(t)] or tables
+            self._table_pool = (available, available.version, pool)
+        pool = self._table_pool[2]
         if self.table_bias is not None:
             weights = list(self.table_bias(pool))
             return self.rng.choices(pool, weights=weights, k=1)[0]
@@ -228,11 +216,20 @@ class RequestGenerator:
             available.provides_keys(*demand) for demand in self.refs.demanded_keys[table.name]
         )
 
-    def _referenced_values(self, target_table: str, target_key: str) -> List[int]:
-        values: List[int] = []
-        for keyset in self.state.available.keysets(target_table):
-            values.extend(value for key, value in keyset if key == target_key)
-        return values
+    def _referenced_values(self, target_table: str, *keys: str) -> List[Tuple[int, ...]]:
+        """The values of ``keys`` in each available keyset of the table that
+        carries them all, in ``keysets()`` order.  Rebuilt only when that
+        tuple is replaced, i.e. after a 0<->1 transition in the table."""
+        keysets = self.state.available.keysets(target_table)
+        read, rows = self._referenced.get((target_table, keys), (None, None))
+        if read is not keysets:
+            rows = [
+                tuple(values[key] for key in keys)
+                for values in map(dict, keysets)
+                if all(key in values for key in keys)
+            ]
+            self._referenced[target_table, keys] = (keysets, rows)
+        return rows
 
     def _random_value(self, bitwidth: int) -> int:
         # Bias towards small values and boundary patterns, which exercise
@@ -256,7 +253,7 @@ class RequestGenerator:
             values = self._referenced_values(*target)
             if not values:
                 return ...  # sentinel: cannot satisfy the reference
-            value = self.rng.choice(values)
+            (value,) = self.rng.choice(values)
             return FieldMatch(mf.id, "exact", codec.encode(value, mf.bitwidth))
         if mf.match_type is MatchKind.EXACT:
             return FieldMatch(
@@ -358,29 +355,18 @@ class RequestGenerator:
         and keeps later groups consistent with already-assigned parameters.
         Returns None when some group cannot be satisfied.
         """
-        groups = self.refs.action_reference_groups(action.name)
-        if not groups:
-            return {}
-        available = self.state.available
         assigned: Dict[str, int] = {}
-        ordered = sorted(groups.items(), key=lambda item: -len(item[1]))
-        for target_table, pairs in ordered:
-            candidates = []
-            for keyset in available.keysets(target_table):
-                values = dict(keyset)
-                if not all(key in values for _param, key in pairs):
-                    continue
-                if any(
-                    param in assigned and assigned[param] != values[key]
-                    for param, key in pairs
-                ):
-                    continue
-                candidates.append(values)
+        for target_table, params, keys in self._reference_plans[action.name]:
+            candidates = self._referenced_values(target_table, *keys)
+            if not assigned.keys().isdisjoint(params):
+                candidates = [
+                    values
+                    for values in candidates
+                    if all(assigned.get(p, value) == value for p, value in zip(params, values))
+                ]
             if not candidates:
                 return None
-            chosen = self.rng.choice(candidates)
-            for param, key in pairs:
-                assigned[param] = chosen[key]
+            assigned.update(zip(params, self.rng.choice(candidates)))
         return assigned
 
     # ------------------------------------------------------------------

@@ -47,8 +47,9 @@ class MutatedUpdate:
 
 Mutator = Callable[[random.Random, P4Info, Update], Optional[MutatedUpdate]]
 # Stateful mutators additionally see the generator's installed-state view
-# (``entries``, a dict keyed by match_key: a campaign's Oracle, or a
-# standalone GeneratorState), or None when the caller has no state to offer.
+# (``entries``, a dict keyed by match_key, and ``victims``, its values as an
+# indexable sequence: a campaign's Oracle, or a standalone GeneratorState),
+# or None when the caller has no state to offer.
 StatefulMutator = Callable[
     [random.Random, P4Info, Update, Optional[object]], Optional[MutatedUpdate]
 ]
@@ -364,7 +365,7 @@ def duplicate_insert(rng, p4info, update, state):
         return None
     if state is None or not state.entries:
         return None
-    victim = rng.choice(list(state.entries.values()))
+    victim = rng.choice(state.victims)
     return MutatedUpdate(
         Update(UpdateType.INSERT, victim), "duplicate_insert", VALID
     )

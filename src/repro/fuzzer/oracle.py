@@ -47,6 +47,84 @@ class Classified:
     decoded: Optional[InstalledEntry] = None
 
 
+class _Ranked:
+    """The slots whose flag is set, as a sequence: a Fenwick tree over the
+    slots' 0/1 flags (a power-of-two capacity) finds the k-th in O(log n)."""
+
+    def __init__(self, slots: List, flags: List[bool], capacity: int) -> None:
+        self._slots, self._tree = slots, [0, *flags] + [0] * (capacity - len(flags))
+        self._count = sum(flags)
+        for i in range(1, capacity):
+            if i + (i & -i) <= capacity:
+                self._tree[i + (i & -i)] += self._tree[i]
+
+    def add(self, slot: int, delta: int) -> None:
+        self._count += delta
+        tree, slot = self._tree, slot + 1
+        while slot < len(tree):
+            tree[slot] += delta
+            slot += slot & -slot
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k: int):
+        if not 0 <= k < self._count:
+            raise IndexError(k)
+        pos, step = 0, len(self._tree) - 1
+        while step:
+            if self._tree[pos + step] <= k:
+                pos += step
+                k -= self._tree[pos]
+            step >>= 1
+        return self._slots[pos]
+
+
+class EntryOrder:
+    """An insertion-ordered entry dict's values, ``all``, and those of known
+    ``tables``, ``known``, as sequences indexable in O(log n).  A new key takes
+    the next slot, a delete leaves a tombstone (compacted once tombstones
+    outnumber live slots), a new value keeps its slot: ``all[k]`` is
+    ``list(entries.values())[k]``, so ``rng.choice`` draws the same entry."""
+
+    def __init__(self, tables) -> None:
+        self._tables = tables
+        self.reset({})
+
+    def reset(self, entries: Dict[Tuple, TableEntry]) -> None:
+        self._slots: List[Optional[TableEntry]] = list(entries.values())
+        self._index = {key: slot for slot, key in enumerate(entries)}
+        self._capacity = 1 << len(self._slots).bit_length()
+        self.all = _Ranked(self._slots, [True] * len(self._slots), self._capacity)
+        known = [entry.table_id in self._tables for entry in self._slots]
+        self.known = _Ranked(self._slots, known, self._capacity)
+
+    def put(self, key: Tuple, entry: TableEntry) -> None:
+        slot = self._index.setdefault(key, len(self._slots))
+        if slot < len(self._slots):
+            self._slots[slot] = entry
+            return
+        self._slots.append(entry)
+        if slot == self._capacity:
+            self._compact()
+        else:
+            self.all.add(slot, 1)
+            self.known.add(slot, entry.table_id in self._tables)
+
+    def discard(self, key: Tuple) -> None:
+        slot = self._index.pop(key, None)
+        if slot is None:
+            return
+        self.all.add(slot, -1)
+        self.known.add(slot, -(self._slots[slot].table_id in self._tables))
+        self._slots[slot] = None
+        if 2 * len(self.all) < len(self._slots):
+            self._compact()
+
+    def _compact(self) -> None:
+        self.reset({key: self._slots[slot] for key, slot in self._index.items()})
+
+
 class Oracle:
     """Judges responses and read-backs against the instantiated spec.
 
@@ -81,9 +159,10 @@ class Oracle:
         # The adopted switch state: entry identity -> wire entry.
         self.expected: Dict[Tuple, TableEntry] = {}
         # Mirrors of `expected`: per-table entry counts, the
-        # reverse-reference index, and the decoded-form cache for
-        # read-back diffing.
+        # reverse-reference index, the decoded-form cache for read-back
+        # diffing, and its values in order for the generator's draws.
         self._counts: Dict[int, int] = {}
+        self._order = EntryOrder(p4info.tables)
         self._index = ReferenceIndex(self.refs)
         self._decoded: Dict[TableEntry, object] = {}
         # Keys of `expected` not known to decode (adopted unjudged, or
@@ -91,9 +170,11 @@ class Oracle:
         self._unverified: Dict[Tuple, None] = {}
 
     # The installed-state view RequestGenerator and the stateful mutators
-    # read (GeneratorState's pair), maintained in place.
+    # read (GeneratorState's), maintained in place.
     entries = property(lambda self: self.expected)
     available = property(lambda self: self._available_values())
+    victims = property(lambda self: self._order.all)
+    known_victims = property(lambda self: self._order.known)
 
     def constraint_incidents(self) -> IncidentLog:
         """Model incidents for tables whose @entry_restriction failed to
@@ -571,6 +652,7 @@ class Oracle:
             self._index.replace(key, observed[key])
             self._unverified[key] = None
         self.expected = observed
+        self._order.reset(observed)
         self._prune_decode_cache()
 
     def _same_entry(self, a: TableEntry, b: TableEntry) -> bool:
@@ -611,6 +693,7 @@ class Oracle:
         if update.type is UpdateType.DELETE:
             if self.expected.pop(key, None) is None:
                 return
+            self._order.discard(key)
             self._index.delete(key)
             self._bump(self._key_table(key), -1)
         else:
@@ -620,6 +703,7 @@ class Oracle:
                 self._index.insert(key, update.entry)
                 self._bump(self._key_table(key), +1)
             self.expected[key] = update.entry
+            self._order.put(key, update.entry)
 
     def _bump(self, table_id: int, delta: int) -> None:
         new = self._counts.get(table_id, 0) + delta
@@ -643,3 +727,18 @@ class Oracle:
 
     def installed_entries(self) -> List[TableEntry]:
         return list(self.expected.values())
+
+
+class GeneratorState(Oracle):
+    """A standalone generator's installed-state view: the oracle's projection
+    driven by ``install`` / ``remove`` / ``replace_all`` instead of by judged
+    batches.  A campaign's generator reads its fuzzer's oracle instead."""
+
+    def install(self, entry: TableEntry) -> None:
+        self._apply(Update(UpdateType.INSERT, entry))
+
+    def remove(self, entry: TableEntry) -> None:
+        self._apply(Update(UpdateType.DELETE, entry))
+
+    def replace_all(self, entries: Sequence[TableEntry]) -> None:
+        self.resync(entries)

@@ -79,8 +79,10 @@ class AvailableState:
         # table -> key-name shape -> distinct available keysets of that
         # shape.  Same transitions as _by_pair.
         self._shapes: Dict[str, Dict[FrozenSet[str], int]] = {}
-        # table -> keysets() answer, dropped on the same transitions.
+        # table -> keysets() answer, dropped on the same transitions, which
+        # also bump `version` (what satisfiability answers were read at).
         self._sorted: Dict[str, Tuple[KeySet, ...]] = {}
+        self.version = 0
 
     def add(self, table: str, keyset: KeySet) -> None:
         counts = self._by_table.setdefault(table, {})
@@ -88,6 +90,7 @@ class AvailableState:
         counts[keyset] = count + 1
         if count == 0:
             self._sorted.pop(table, None)
+            self.version += 1
             shapes = self._shapes.setdefault(table, {})
             shape = frozenset(key for key, _value in keyset)
             shapes[shape] = shapes.get(shape, 0) + 1
@@ -102,6 +105,7 @@ class AvailableState:
         if counts[keyset] <= 0:
             del counts[keyset]
             self._sorted.pop(table, None)
+            self.version += 1
             shapes = self._shapes[table]
             shape = frozenset(key for key, _value in keyset)
             shapes[shape] -= 1

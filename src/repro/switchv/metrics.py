@@ -217,35 +217,6 @@ def collect_pipeline_throughput(result) -> PipelineThroughput:
 
 
 # ----------------------------------------------------------------------
-# Generation-effort (clause economy) metrics
-# ----------------------------------------------------------------------
-def collect_generation_effort(report) -> Dict[str, float]:
-    """Flat solver/CNF effort counters from one validation run.
-
-    Takes a :class:`repro.switchv.harness.ValidationReport` (duck-typed
-    like the other collectors) and reads its ``data_plane`` stats.  These
-    are the clause-economy numbers the benchmark's ``smt.*`` rows report:
-    emitted SAT variables and clauses, structurally shared gates,
-    and the propagation/conflict effort behind the queries — what makes a
-    speedup attributable to the encoding rather than wall-clock noise.
-    Returns zeros when the run had no data-plane phase.
-    """
-    stats = getattr(report, "data_plane", None) or report
-    return {
-        "goals_total": getattr(stats, "goals_total", 0),
-        "goals_covered": getattr(stats, "goals_covered", 0),
-        "solver_queries": getattr(stats, "solver_queries", 0),
-        "sat_conflicts": getattr(stats, "sat_conflicts", 0),
-        "sat_decisions": getattr(stats, "sat_decisions", 0),
-        "sat_propagations": getattr(stats, "sat_propagations", 0),
-        "cnf_vars": getattr(stats, "cnf_vars", 0),
-        "cnf_clauses": getattr(stats, "cnf_clauses", 0),
-        "gates_shared": getattr(stats, "gates_shared", 0),
-        "generation_seconds": getattr(stats, "generation_seconds", 0.0),
-    }
-
-
-# ----------------------------------------------------------------------
 # Coverage-feedback progress metrics
 # ----------------------------------------------------------------------
 def collect_coverage_progress(result) -> Optional[CoverageProgress]:

@@ -31,6 +31,13 @@ class LinearOracle(Oracle):
         super().__init__(p4info, strict_constraints)
         self._available = self.refs.collect_state(())
 
+    # The generator's victim draws read these plain lists: the spec of the
+    # oracle's order-statistic views.
+    victims = property(lambda self: list(self.expected.values()))
+    known_victims = property(
+        lambda self: [e for e in self.expected.values() if e.table_id in self.p4info.tables]
+    )
+
     def _table_count(self, table_id: int) -> int:
         return sum(1 for k in self.expected if self._key_table(k) == table_id)
 

@@ -113,16 +113,14 @@ class TestStatefulMutations:
         rng = random.Random(3)
         update = self._insert(tor_p4info)
         assert apply_mutation("duplicate_insert", rng, tor_p4info, update) is None
-        assert (
-            apply_mutation("duplicate_insert", rng, tor_p4info, update, state=GeneratorState())
-            is None
-        )
+        state = GeneratorState(tor_p4info)
+        assert apply_mutation("duplicate_insert", rng, tor_p4info, update, state=state) is None
 
     def test_duplicate_insert_reinserts_installed_entry(self, tor_p4info):
         rng = random.Random(3)
         b = EntryBuilder(tor_p4info)
         installed = b.exact("vrf_tbl", {"vrf_id": 1}, "NoAction")
-        state = GeneratorState()
+        state = GeneratorState(tor_p4info)
         state.install(installed)
         mutated = apply_mutation(
             "duplicate_insert", rng, tor_p4info, self._insert(tor_p4info), state=state
@@ -142,7 +140,7 @@ class TestStatefulMutations:
         assert mutated.update.type is UpdateType.DELETE
         assert mutated.update.entry.match_key() == update.entry.match_key()
         # Once that key is installed, the mutation no longer applies.
-        state = GeneratorState()
+        state = GeneratorState(tor_p4info)
         state.install(update.entry)
         assert (
             apply_mutation("delete_nonexistent", rng, tor_p4info, update, state=state)

@@ -24,6 +24,7 @@ from repro.fuzzer.oracle import Oracle
 from repro.p4rt.messages import (
     ActionInvocation,
     ReadRequest,
+    ReadResponse,
     Update,
     UpdateType,
     WriteRequest,
@@ -37,6 +38,7 @@ from repro.switch.p4rt_server import P4RuntimeServer
 from repro.switchv.report import IncidentKind
 from repro.workloads import EntryBuilder, crm_fill_updates, production_like_entries
 from tests.linear_state import LinearOracle, LinearP4RuntimeServer, LinearReferenceSwitch
+from tests.sequential_fuzz import SequentialFuzzer
 
 MODELS = ["toy", "tor", "wan", "cerberus"]
 
@@ -118,6 +120,75 @@ def test_fuzz_campaign_identity_reference_switch(model, request, monkeypatch):
             b.mirror_copies,
         )
     assert fast_switch.drain_packet_ins() == slow_switch.drain_packet_ins()
+
+
+class _AcceptsUnknownTables(ReferenceSwitch):
+    """A faulty switch that accepts inserts into (and deletes from) table ids
+    its P4Info does not know, and reads them back after its known entries.
+    It records every write request it is sent."""
+
+    def __init__(self, program):
+        super().__init__(program)
+        self.unknown = {}
+        self.writes = []
+
+    def write(self, request):
+        self.writes.append(request)
+        statuses = list(super().write(request).statuses)
+        for index, update in enumerate(request.updates):
+            entry, key = update.entry, update.entry.match_key()
+            if entry.table_id in self._p4info.tables:
+                continue
+            if update.type is UpdateType.INSERT and key not in self.unknown:
+                self.unknown[key] = entry
+                statuses[index] = Status()
+            elif update.type is UpdateType.DELETE and key in self.unknown:
+                del self.unknown[key]
+                statuses[index] = Status()
+        return WriteResponse(statuses=tuple(statuses))
+
+    def read(self, request):
+        entries = super().read(request).entries
+        if request.table_id:
+            return ReadResponse(entries=entries)
+        return ReadResponse(entries=entries + tuple(self.unknown.values()))
+
+
+def test_adopted_unknown_table_entry_keeps_the_request_stream(tor_program, tor_p4info, monkeypatch):
+    """Once the oracle has adopted entries of an unknown table (accepted
+    though invalid, then read back out of order), P4Fuzzer drawing victims
+    from the oracle's indexed views and the sequential spec drawing them
+    from LinearOracle's plain lists send the same writes, report the same
+    incidents and end in the same state."""
+    config = FuzzerConfig(
+        num_writes=30,
+        updates_per_write=12,
+        seed=8,
+        mutations=["invalid_table_id", "duplicate_insert"],
+        mutation_probability=0.3,
+    )
+    outcomes = {}
+    for mode, fuzzer_class in ((True, P4Fuzzer), (False, SequentialFuzzer)):
+        _set_modes(monkeypatch, mode)
+        switch = _AcceptsUnknownTables(tor_program)
+        result = fuzzer_class(tor_p4info, switch, config).run()
+        outcomes[mode] = (switch.writes, _incident_tuples(result.incidents), result.final_entries)
+    assert outcomes[True] == outcomes[False]
+    writes, incidents, final_entries = outcomes[True]
+    unknown = [e for e in final_entries if e.table_id not in tor_p4info.tables]
+    assert unknown and len(unknown) < len(final_entries)
+    assert any(kind is IncidentKind.READBACK_MISMATCH for kind, *_rest in incidents)
+    # Victims were drawn from the adopted unknown-table entries: deleted, or
+    # re-inserted as duplicates.
+    sent = [u for w in writes for u in w.updates]
+    installed = set()
+    drawn = 0
+    for update in sent:
+        key = update.entry.match_key()
+        if update.entry.table_id not in tor_p4info.tables:
+            drawn += key in installed
+        installed.add(key)
+    assert drawn > 0
 
 
 def test_direct_write_status_identity(tor_program, tor_p4info, monkeypatch):

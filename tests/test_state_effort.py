@@ -20,7 +20,9 @@ shows up as a count difference.
 The fuzz loop is gated per window on the same two states: no
 ``collect_state``, no ``Oracle._same_entry`` (the entry-by-entry read-back
 comparison), and ``TableEntry.match_key`` calls bounded by a constant times
-the window's update count.
+the window's update count.  Generating each wave walks installed keysets
+and materialises installed entries for victim draws only in proportion to
+the wave's own updates, whatever the state's size.
 """
 
 import collections
@@ -33,7 +35,7 @@ from repro.bmv2.interpreter import Interpreter
 from repro.bmv2.packet import deparse_packet, make_ipv4_packet
 from repro.fuzzer import FuzzerConfig, P4Fuzzer
 from repro.fuzzer.oracle import Oracle
-from repro.p4.constraints.refs import ReferenceGraph
+from repro.p4.constraints.refs import AvailableState, ReferenceGraph
 from repro.p4.programs import build_tor_program
 from repro.p4rt.messages import ReadRequest, TableEntry, Update, UpdateType, WriteRequest
 from repro.switch import PinsSwitchStack, ReferenceSwitch
@@ -205,6 +207,19 @@ def test_oracle_churn_is_flat(workload, counts):
 MATCH_KEYS_PER_UPDATE = 4
 
 
+def _resynced_fuzzer(program, p4info, entries):
+    """A short campaign against a PINS stack pre-seeded with ``entries``,
+    its oracle resynced from the stack's read-back."""
+    stack = PinsSwitchStack(program)
+    assert stack.set_forwarding_pipeline_config(p4info).ok
+    for start in range(0, len(entries), 500):
+        batch = entries[start : start + 500]
+        stack.write(WriteRequest(updates=tuple(Update(UpdateType.INSERT, e) for e in batch)))
+    fuzzer = P4Fuzzer(p4info, stack, FuzzerConfig(num_writes=8, updates_per_write=20, seed=5))
+    fuzzer.oracle.resync(stack.read(ReadRequest()).entries)
+    return fuzzer
+
+
 def test_fuzz_loop_windows_are_flat(workload, monkeypatch):
     """A short P4Fuzzer campaign against a PINS stack pre-seeded with 1k and
     with 10k entries, its oracle resynced from the stack's read-back.  On a
@@ -243,15 +258,7 @@ def test_fuzz_loop_windows_are_flat(workload, monkeypatch):
     monkeypatch.setattr(P4Fuzzer, "_judge_window", judge_window)
     per_size = {}
     for size, entries in states.items():
-        stack = PinsSwitchStack(program)
-        assert stack.set_forwarding_pipeline_config(p4info).ok
-        for start in range(0, len(entries), 500):
-            batch = entries[start : start + 500]
-            stack.write(WriteRequest(updates=tuple(Update(UpdateType.INSERT, e) for e in batch)))
-        fuzzer = P4Fuzzer(
-            p4info, stack, FuzzerConfig(num_writes=8, updates_per_write=20, seed=5)
-        )
-        fuzzer.oracle.resync(stack.read(ReadRequest()).entries)
+        fuzzer = _resynced_fuzzer(program, p4info, entries)
         assert len(fuzzer.oracle.expected) == len(entries)
         windows.clear()
         before.clear()
@@ -264,6 +271,104 @@ def test_fuzz_loop_windows_are_flat(workload, monkeypatch):
         for updates, collect_state, same_entry, match_key in rows:
             assert (collect_state, same_entry) == (0, 0), size
             assert match_key <= MATCH_KEYS_PER_UPDATE * updates, (size, updates, match_key)
+
+
+# Generating an update draws referenced keysets and victims from views the
+# oracle maintains; walking a handful of keysets after a referenced table
+# changes is what a wave needs.
+KEYSETS_PER_UPDATE = 4
+ENTRIES_PER_UPDATE = 1
+
+
+class _WalkedKeysets(tuple):
+    """A ``keysets()`` answer that counts the keysets iterated out of it."""
+
+    walked = 0
+
+    def __iter__(self):
+        for keyset in tuple.__iter__(self):
+            _WalkedKeysets.walked += 1
+            yield keyset
+
+
+class _ListedEntries:
+    """``Oracle.entries`` handed to the generator: counts the entries
+    iterated out of it (``values()``, ``items()``, ``keys()``, iteration)."""
+
+    listed = 0
+
+    def __init__(self, expected):
+        self.expected = expected
+
+    def _count(self, items):
+        for item in items:
+            _ListedEntries.listed += 1
+            yield item
+
+    def __len__(self):
+        return len(self.expected)
+
+    def __contains__(self, key):
+        return key in self.expected
+
+    def __getitem__(self, key):
+        return self.expected[key]
+
+    def __iter__(self):
+        return self._count(self.expected)
+
+    def keys(self):
+        return self._count(self.expected.keys())
+
+    def values(self):
+        return self._count(self.expected.values())
+
+    def items(self):
+        return self._count(self.expected.items())
+
+
+def test_fuzz_generation_is_flat(workload, monkeypatch):
+    """The same campaigns as above, counted per generated wave: the keysets
+    the generator iterates (reference candidates, table pool) and the
+    installed entries it lists to draw modify / delete / duplicate-insert
+    victims stay within a constant per update at 1k and at 10k entries."""
+    program, p4info, states, _updates, _packets = workload
+    _WalkedKeysets.walked = _ListedEntries.listed = 0
+    real_keysets = AvailableState.keysets
+    wrapped = {}  # id(answer) -> (answer, its counting twin): same tuple, same twin
+
+    def keysets(self, table):
+        answer = real_keysets(self, table)
+        if id(answer) not in wrapped or wrapped[id(answer)][0] is not answer:
+            wrapped[id(answer)] = (answer, _WalkedKeysets(answer))
+        return wrapped[id(answer)][1]
+
+    monkeypatch.setattr(AvailableState, "keysets", keysets)
+    monkeypatch.setattr(Oracle, "entries", property(lambda self: _ListedEntries(self.expected)))
+    waves = []  # (updates, keysets walked, entries listed) per wave
+    real_wave = P4Fuzzer._generate_wave
+
+    def generate_wave(self, result):
+        walked, listed = _WalkedKeysets.walked, _ListedEntries.listed
+        updates = real_wave(self, result)
+        waves.append(
+            (len(updates), _WalkedKeysets.walked - walked, _ListedEntries.listed - listed)
+        )
+        return updates
+
+    monkeypatch.setattr(P4Fuzzer, "_generate_wave", generate_wave)
+    per_size = {}
+    for size, entries in states.items():
+        fuzzer = _resynced_fuzzer(program, p4info, entries)
+        waves.clear()
+        result = fuzzer.run()
+        assert result.incidents.count == 0 and result.updates_sent >= 100
+        per_size[size] = list(waves)
+    for size, rows in per_size.items():
+        assert len(rows) == 8 and sum(row[0] for row in rows) >= 100, size
+        for updates, walked, listed in rows:
+            assert walked <= KEYSETS_PER_UPDATE * updates, (size, updates, walked)
+            assert listed <= ENTRIES_PER_UPDATE * updates, (size, updates, listed)
 
 
 def test_packet_lookups_are_flat(workload, counts):
