@@ -59,6 +59,10 @@ class Reference:
 class AvailableState:
     """The referenceable keysets of a set of installed entries.
 
+    Only entries of tables some ``@refers_to`` targets contribute (see
+    :meth:`ReferenceGraph.exported_keyset`): a route or an ACL that nothing
+    can refer to costs no keyset, pair-index or shape bookkeeping here.
+
     Refcounted (distinct entries can export identical keysets, e.g. two
     priorities over the same matches) and incrementally maintainable, so
     long campaigns avoid rebuilding it per update.
@@ -208,6 +212,38 @@ class ReferenceGraph:
                 for table, pairs in groups.items():
                     keys = frozenset(key for _param, key in pairs)
                     self.demanded_keys[info.name].append((table, keys))
+        # The tables some match key or action parameter refers to: the only
+        # ones whose keysets a demand can ever read, so the only exporters.
+        self.targets: FrozenSet[str] = frozenset(
+            table for table, _key in self._key_edges.values()
+        ).union(*(groups.keys() for groups in self._action_edges.values()))
+        self._exporters = {
+            tid: (info.name, info.match_fields_by_id)
+            for tid, info in p4info.tables.items()
+            if info.name in self.targets
+        }
+        # Extraction plans, decoding only the values a reference names.
+        # table id -> field id -> (width, target table, target key, source).
+        self._key_plans: Dict[int, Dict[int, Tuple[int, str, str, str]]] = {
+            tid: {
+                fid: (mf.bitwidth, *self._key_edges[info.name, mf.name], f"{info.name}.{mf.name}")
+                for fid, mf in info.match_fields_by_id.items()
+                if (info.name, mf.name) in self._key_edges
+            }
+            for tid, info in p4info.tables.items()
+        }
+        # action id -> (name, reference groups, param id -> (name, width)).
+        self._action_plans: Dict[int, Tuple] = {}
+        for aid, action in p4info.actions.items():
+            groups = self._action_edges.get(action.name)
+            if groups:
+                named = {name for pairs in groups.values() for name, _key in pairs}
+                params = {
+                    pid: (p.name, p.bitwidth)
+                    for pid, p in action.params_by_id.items()
+                    if p.name in named
+                }
+                self._action_plans[aid] = (action.name, tuple(groups.items()), params)
 
     def action_reference_groups(self, action_name: str) -> Dict[str, List[Tuple[str, str]]]:
         """target table -> [(param name, target key)] for one action."""
@@ -215,11 +251,7 @@ class ReferenceGraph:
 
     def is_referenced_table(self, table_name: str) -> bool:
         """Whether any edge points *at* this table."""
-        if any(t == table_name for (t, _k) in self._key_edges.values()):
-            return True
-        return any(
-            table_name in groups for groups in self._action_edges.values()
-        )
+        return table_name in self.targets
 
     # ------------------------------------------------------------------
     # Entry-level reference extraction
@@ -230,78 +262,69 @@ class ReferenceGraph:
         Values that fail to decode are skipped: a malformed entry will be
         rejected on syntactic grounds before integrity is consulted.
         """
-        table = self._p4info.tables.get(entry.table_id)
-        if table is None:
-            return []
-        out: List[Reference] = []
-        for match in entry.matches:
-            mf = table.match_field_by_id(match.field_id)
-            if mf is None:
-                continue
-            target = self._key_edges.get((table.name, mf.name))
-            if target is None:
-                continue
-            try:
-                value = codec.decode(match.value, mf.bitwidth, strict=False)
-            except codec.CodecError:
-                continue
-            out.append(
-                Reference(
-                    source=f"{table.name}.{mf.name}",
-                    target_table=target[0],
-                    pairs=((target[1], value),),
-                )
-            )
-        out.extend(self._action_references(entry))
-        return out
+        return [Reference(*found) for found in self._extract(entry)]
 
-    def _action_references(self, entry: TableEntry) -> List[Reference]:
-        invocations: List[ActionInvocation] = []
-        if isinstance(entry.action, ActionInvocation):
-            invocations = [entry.action]
-        elif isinstance(entry.action, ActionProfileActionSet):
-            invocations = [m.action for m in entry.action.actions]
-        out: List[Reference] = []
-        for inv in invocations:
-            action = self._p4info.actions.get(inv.action_id)
-            if action is None:
-                continue
-            values: Dict[str, int] = {}
-            for pid, data in inv.params:
-                pinfo = action.param_by_id(pid)
-                if pinfo is None:
+    def _extract(self, entry: TableEntry) -> List[Tuple[str, str, Tuple[Tuple[str, int], ...]]]:
+        """(source, target table, pairs) per reference, through the plans."""
+        key_plan = self._key_plans.get(entry.table_id)
+        if key_plan is None:
+            return []
+        out = []
+        if key_plan:
+            for match in entry.matches:
+                step = key_plan.get(match.field_id)
+                if step is None:
                     continue
+                width, target, key, source = step
                 try:
-                    values[pinfo.name] = codec.decode(data, pinfo.bitwidth, strict=False)
+                    value = codec.decode(match.value, width, strict=False)
                 except codec.CodecError:
                     continue
-            for target_table, pairs in self._action_edges.get(action.name, {}).items():
+                out.append((source, target, ((key, value),)))
+        if isinstance(entry.action, ActionInvocation):
+            invocations = (entry.action,)
+        elif isinstance(entry.action, ActionProfileActionSet):
+            invocations = [m.action for m in entry.action.actions]
+        else:
+            return out
+        for inv in invocations:
+            plan = self._action_plans.get(inv.action_id)
+            if plan is None:
+                continue
+            name, groups, params = plan
+            values: Dict[str, int] = {}
+            for pid, data in inv.params:
+                param = params.get(pid)
+                if param is None:
+                    continue
+                try:
+                    values[param[0]] = codec.decode(data, param[1], strict=False)
+                except codec.CodecError:
+                    continue
+            for target, pairs in groups:
                 demanded = tuple(
-                    (key, values[param_name])
-                    for param_name, key in pairs
-                    if param_name in values
+                    (key, values[param_name]) for param_name, key in pairs if param_name in values
                 )
                 if demanded:
-                    out.append(
-                        Reference(
-                            source=action.name,
-                            target_table=target_table,
-                            pairs=demanded,
-                        )
-                    )
+                    out.append((name, target, demanded))
         return out
 
     # ------------------------------------------------------------------
     # Values exported by an entry (what others may refer to)
     # ------------------------------------------------------------------
     def exported_keyset(self, entry: TableEntry) -> Optional[Tuple[str, KeySet]]:
-        """The (table, keyset) this entry makes referenceable, if any."""
-        table = self._p4info.tables.get(entry.table_id)
-        if table is None:
+        """The (table, keyset) this entry makes referenceable, if any.
+
+        Only an entry of a table in :attr:`targets` exports one: no
+        reference can demand a keyset of any other table.
+        """
+        exporter = self._exporters.get(entry.table_id)
+        if exporter is None:
             return None
+        table, fields = exporter
         pairs = []
         for match in entry.matches:
-            mf = table.match_field_by_id(match.field_id)
+            mf = fields.get(match.field_id)
             if mf is None:
                 continue
             try:
@@ -311,7 +334,7 @@ class ReferenceGraph:
             pairs.append((mf.name, value))
         if not pairs:
             return None
-        return (table.name, frozenset(pairs))
+        return (table, frozenset(pairs))
 
     def exported_values(self, entry: TableEntry) -> List[Tuple[str, str, int]]:
         """(table, key, value) triples this entry makes referenceable."""
@@ -406,8 +429,7 @@ class ReferenceIndex:
             self._exports[key] = exported
             self._add_export(*exported)
         demands = tuple(
-            (ref.target_table, frozenset(ref.pairs))
-            for ref in self._refs.references_of(entry)
+            (target, frozenset(pairs)) for _source, target, pairs in self._refs._extract(entry)
         )
         if demands:
             self._demands[key] = demands

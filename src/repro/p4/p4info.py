@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.p4.ast import Action, ActionProfile, MatchKind, P4Program
@@ -62,11 +63,13 @@ class ActionInfo:
     name: str
     params: Tuple[ActionParamInfo, ...]
 
+    @cached_property
+    def params_by_id(self) -> Dict[int, ActionParamInfo]:
+        """Param id -> param; the first declared wins a duplicated id."""
+        return {p.id: p for p in reversed(self.params)}
+
     def param_by_id(self, param_id: int) -> Optional[ActionParamInfo]:
-        for p in self.params:
-            if p.id == param_id:
-                return p
-        return None
+        return self.params_by_id.get(param_id)
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,20 @@ class TableInfo:
     implementation_id: int = 0  # action-profile id, 0 if direct-action table
     entry_restriction: Optional[str] = None
 
+    @cached_property
+    def match_fields_by_id(self) -> Dict[int, MatchFieldInfo]:
+        """Field id -> field; the first declared wins a duplicated id."""
+        return {mf.id: mf for mf in reversed(self.match_fields)}
+
+    @cached_property
+    def _match_fields_by_name(self) -> Dict[str, MatchFieldInfo]:
+        return {mf.name: mf for mf in reversed(self.match_fields)}
+
     def match_field_by_id(self, field_id: int) -> Optional[MatchFieldInfo]:
-        for mf in self.match_fields:
-            if mf.id == field_id:
-                return mf
-        return None
+        return self.match_fields_by_id.get(field_id)
 
     def match_field_by_name(self, name: str) -> Optional[MatchFieldInfo]:
-        for mf in self.match_fields:
-            if mf.name == name:
-                return mf
-        return None
+        return self._match_fields_by_name.get(name)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,12 @@ comparison), and ``TableEntry.match_key`` calls bounded by a constant times
 the window's update count.  Generating each wave walks installed keysets
 and materialises installed entries for victim draws only in proportion to
 the wave's own updates, whatever the state's size.
+
+Bringing a store up to 1k and 10k production-like entries decodes only
+what validation and ``@refers_to`` need: ``ReferenceSwitch.preload``
+(which fully decodes each entry) and ``Oracle.resync`` each make a bounded
+number of ``codec.decode`` calls per entry, and the oracle's available
+state holds keysets of referenced tables only.
 """
 
 import collections
@@ -37,10 +43,12 @@ from repro.fuzzer import FuzzerConfig, P4Fuzzer
 from repro.fuzzer.oracle import Oracle
 from repro.p4.constraints.refs import AvailableState, ReferenceGraph
 from repro.p4.programs import build_tor_program
+from repro.p4rt import codec
 from repro.p4rt.messages import ReadRequest, TableEntry, Update, UpdateType, WriteRequest
 from repro.switch import PinsSwitchStack, ReferenceSwitch
 from repro.workloads import EntryBuilder, production_like_entries
 from repro.workloads.scale import production_scale_program
+from tests.plain_refs import PlainReferenceGraph
 
 SMALL, LARGE = 1_000, 10_000
 FILLER_VRF = 4
@@ -385,3 +393,45 @@ def test_packet_lookups_are_flat(workload, counts):
         )
     _assert_flat(per_size)
     assert all(step[2] > 0 and step[3] == 0 for step in per_size[LARGE])
+
+
+# Routes and next hops name two referenced values each; an entry of a
+# table nothing refers to exports nothing.  The switch decodes each entry
+# fully (about three values) on top of that.
+RESYNC_DECODES_PER_ENTRY = 2
+PRELOAD_DECODES_PER_ENTRY = 5
+
+
+@pytest.fixture(scope="module")
+def production_states():
+    program, p4info = production_scale_program(build_tor_program(), LARGE + 1024)
+    states = {size: production_like_entries(p4info, size, seed=3) for size in (SMALL, LARGE)}
+    return program, p4info, states
+
+
+def test_state_setup_decodes_only_what_references_name(production_states, monkeypatch):
+    program, p4info, states = production_states
+    plain = PlainReferenceGraph(p4info)
+    unreferenced = [t.name for t in p4info.tables.values() if not plain.is_referenced_table(t.name)]
+    decodes = collections.Counter()
+    real = codec.decode
+
+    def counted(*args, **kwargs):
+        decodes["calls"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(codec, "decode", counted)
+    for size, entries in states.items():
+        switch = ReferenceSwitch(program)
+        assert switch.set_forwarding_pipeline_config(p4info).ok
+        decodes.clear()
+        assert switch.preload(entries) == len(entries)
+        preload = decodes["calls"]
+        oracle = Oracle(p4info)
+        decodes.clear()
+        oracle.resync(entries)
+        resync = decodes["calls"]
+        assert preload <= PRELOAD_DECODES_PER_ENTRY * len(entries), (size, preload)
+        assert resync <= RESYNC_DECODES_PER_ENTRY * len(entries), (size, resync)
+        stray = {t: len(oracle.available.keysets(t)) for t in unreferenced}
+        assert not any(stray.values()), (size, stray)
