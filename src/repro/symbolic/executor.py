@@ -10,8 +10,12 @@ For each parser profile the executor maintains:
 Trace isolation uses guarded commands: side effects of an entry's action
 are merged into S via ``ite(guard, new, old)`` where the guard is the
 conjunction of the enclosing context, the entry's match condition, and the
-negation of all higher-priority entries' match conditions — exactly the
-T[i1]/T[i5] construction of the paper's worked example.
+negation of every higher-priority entry whose match can overlap it — the
+T[i1]/T[i5] construction of the paper's worked example.  Entries whose
+constants differ on bits both masks cover (``(v_i ^ v_j) & m_i & m_j != 0``)
+are disjoint, so ``match_i`` implies ``not match_j`` and that conjunct adds
+nothing — provided every entry matches the key terms read once per table
+application, as the interpreter does.
 
 Hashing is free (§5): each hash use and each action-selector choice
 introduces fresh unconstrained variables.
@@ -19,6 +23,8 @@ introduces fresh unconstrained variables.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -32,7 +38,6 @@ from repro.p4.ast import (
     HashExpr,
     If,
     IsValid,
-    MatchKind,
     P4Program,
     Param,
     Seq,
@@ -82,6 +87,7 @@ class SymbolicExecutor:
         self.state = {k: list(v) for k, v in state.items()}
         self.valid_ports = tuple(valid_ports)
         self._fresh_counter = 0
+        self._plans: Dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -187,43 +193,35 @@ class SymbolicExecutor:
     # ------------------------------------------------------------------
     # Tables
     # ------------------------------------------------------------------
-    def _ordered_entries(self, table: Table) -> List[InstalledEntry]:
-        """Entries in descending match priority, as the paper's example:
-        numeric priority for ternary tables, prefix length for LPM."""
-        entries = list(self.state.get(table.name, ()))
-        if table.requires_priority:
-            entries.sort(key=lambda e: -e.priority)
-        else:
-            lpm_keys = [k.key_name for k in table.keys if k.kind is MatchKind.LPM]
-            if lpm_keys:
-                key_name = lpm_keys[0]
+    def _table_plan(self, table: Table) -> tuple:
+        """Entries in descending match priority (numeric for ternary tables,
+        prefix length for LPM), their ``(value, mask)`` cubes and each one's
+        overlapping higher-priority entries: once per table and executor."""
+        plan = self._plans.get(table.name)
+        if plan is None:
+            entries = list(self.state.get(table.name, ()))
+            if table.requires_priority:
+                entries.sort(key=lambda e: -e.priority)
+            elif table.lpm_key_name is not None:
+                entries.sort(key=lambda e: -_prefix_len(e.match(table.lpm_key_name)))
+            fulls = [(1 << self.program.field_width(k.field.path)) - 1 for k in table.keys]
+            cubes = [
+                tuple(_cube(e.match(k.key_name), f) for k, f in zip(table.keys, fulls, strict=True))
+                for e in entries
+            ]
+            plan = self._plans[table.name] = (entries, cubes, _overlaps(cubes, fulls))
+        return plan
 
-                def prefix(e: InstalledEntry) -> int:
-                    m = e.match(key_name)
-                    return m.prefix_len if (m and m.present) else -1
-
-                entries.sort(key=lambda e: -prefix(e))
-        return entries
-
-    def _match_condition(
-        self, table: Table, entry: InstalledEntry, state: Dict[str, T.Term]
-    ) -> T.Term:
+    @staticmethod
+    def _match_condition(keys: Sequence[T.Term], cube: Tuple[Tuple[int, int], ...]) -> T.Term:
         conjuncts: List[T.Term] = []
-        for key in table.keys:
-            m = entry.match(key.key_name)
-            if m is None or not m.present:
-                continue
-            value = state[key.field.path]
-            width = value.width
-            if m.mask and m.mask != (1 << width) - 1:
-                conjuncts.append(
-                    (value & T.bv_const(m.mask, width)).eq(
-                        T.bv_const(m.value & m.mask, width)
-                    )
-                )
-            else:
-                conjuncts.append(value.eq(T.bv_const(m.value, width)))
-        return T.and_(*conjuncts) if conjuncts else T.TRUE
+        for key, (value, mask) in zip(keys, cube, strict=True):
+            constant = T.bv_const(value, key.width)
+            if mask == (1 << key.width) - 1:
+                conjuncts.append(key.eq(constant))
+            elif mask:
+                conjuncts.append((key & T.bv_const(mask, key.width)).eq(constant))
+        return T.and_(*conjuncts)
 
     def _apply_table(
         self,
@@ -233,23 +231,20 @@ class SymbolicExecutor:
         context: T.Term,
         trace: Dict[TraceKey, T.Term],
     ) -> None:
-        entries = self._ordered_entries(table)
-        # Walk in descending priority, accumulating the negation of all
-        # higher-priority matches (the guarded-command construction).
-        no_higher_match = T.TRUE
-        for entry in entries:
-            match = self._match_condition(table, entry, state)
-            guard = T.and_(context, no_higher_match, match)
+        entries, cubes, overlaps = self._table_plan(table)
+        # Each key is read once, before any entry's action writes the state.
+        keys = [state[k.field.path] for k in table.keys]
+        matches = [self._match_condition(keys, cube) for cube in cubes]
+        negations = [T.not_(match) for match in matches]
+        for entry, match, higher in zip(entries, matches, overlaps, strict=True):
+            guard = T.and_(context, *[negations[j] for j in higher], match)
             key: TraceKey = ("entry", table.name, entry.identity())
             trace[key] = T.or_(trace.get(key, T.FALSE), guard)
             self._execute_entry_action(table, entry, state, profile, guard)
-            no_higher_match = T.and_(no_higher_match, T.not_(match))
-        miss_guard = T.and_(context, no_higher_match)
+        miss_guard = T.and_(context, *negations)
         miss_key: TraceKey = ("miss", table.name)
         trace[miss_key] = T.or_(trace.get(miss_key, T.FALSE), miss_guard)
-        self._execute_action_body(
-            table.default_action.body, {}, state, profile, miss_guard
-        )
+        self._execute_action_body(table.default_action.body, {}, state, profile, miss_guard)
 
     def _execute_entry_action(
         self,
@@ -388,3 +383,48 @@ class SymbolicExecutor:
                 return T.or_(*args)
             return T.not_(args[0])
         raise SymbolicExecutionError(f"unknown condition {cond!r}")
+
+
+def _prefix_len(m) -> int:
+    return m.prefix_len if m is not None and m.present else -1
+
+
+def _cube(m, full: int) -> Tuple[int, int]:
+    """One key of an entry's match as ``(value, mask)``; mask 0 is a wildcard."""
+    if m is None or not m.present:
+        return (0, 0)
+    mask = m.mask if m.mask and m.mask != full else full
+    return (m.value & mask, mask)
+
+
+def _overlaps(cubes: List[Tuple[Tuple[int, int], ...]], fulls: List[int]) -> List[List[int]]:
+    """Per entry (in priority order), the earlier entries whose match can hold
+    together with its own.  Entries are bucketed by the keys every entry
+    matches in full.  If one other key remains and a bucket's masks on it are
+    prefixes, each no longer than the one before (an LPM table), an entry
+    overlaps the earlier prefixes inside its range; otherwise every pair in
+    the bucket is tested."""
+    full_keys = [k for k, full in enumerate(fulls) if all(c[k][1] == full for c in cubes)]
+    rest = [k for k in range(len(fulls)) if k not in full_keys]
+    buckets = defaultdict(list)
+    for i, cube in enumerate(cubes):
+        buckets[tuple(cube[k][0] for k in full_keys)].append(i)
+    out: List[List[int]] = [[] for _ in cubes]
+    for members in buckets.values():
+        column = [cubes[i][rest[0]] for i in members] if len(rest) == 1 else []
+        full = fulls[rest[0]] if column else 0
+        inverse = [full ^ mask for _value, mask in column]  # 0b0..01..1 for a prefix
+        if column and all(not m & m + 1 for m in inverse) and inverse == sorted(inverse):
+            ranked = sorted(zip(column, members, strict=True))
+            values = [value for (value, _mask), _i in ranked]
+            for (value, mask), i in zip(column, members, strict=True):
+                window = ranked[bisect_left(values, value):bisect_right(values, value | full ^ mask)]
+                out[i] = sorted(j for _member, j in window if j < i)
+            continue
+        for n, i in enumerate(members):
+            out[i] = [j for j in members[:n] if _can_overlap(cubes[i], cubes[j], rest)]
+    return out
+
+
+def _can_overlap(a, b, keys) -> bool:
+    return all(not (a[k][0] ^ b[k][0]) & a[k][1] & b[k][1] for k in keys)

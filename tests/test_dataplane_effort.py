@@ -17,15 +17,19 @@ from repro.bmv2.packet import deparse_packet
 from repro.bmv2.simulator import Bmv2Simulator
 from repro.p4.ast import ExecutionPlan
 from repro.p4.p4info import build_p4info
-from repro.p4.programs import build_tor_program
+from repro.p4.programs import build_tor_program, build_wan_program
 from repro.p4rt.messages import ActionInvocation, Update, UpdateType, WriteRequest
+from repro.smt import terms as T
 from repro.smt.compile import CompiledTerm
 from repro.switch import PinsSwitchStack, ReferenceSwitch
 from repro.switchv import SwitchVHarness
-from repro.symbolic import CoverageMode, PacketGenerator
+from repro.symbolic import CoverageMode, PacketGenerator, SymbolicExecutor
+from repro.symbolic import executor as executor_module
+from repro.symbolic import packets as packets_module
 from repro.symbolic.cache import PacketCache, cache_key
 from repro.workloads import EntryBuilder, production_like_entries
 
+from tests.full_chain_executor import FullChainExecutor
 from tests.test_smt_compile import _dag_size
 
 
@@ -190,7 +194,9 @@ def test_generation_compiles_and_propagates_shared_work_once(tor150, monkeypatch
     stats = harness.validate_data_plane(entries).data_plane
 
     assert (stats.goals_total, stats.goals_subsumed, stats.solver_queries) == (164, 9, 537)
-    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (6253, 48723, 781)
+    # Guards negate only the overlapping higher-priority entries; the
+    # full-chain guards' (6253, 48723, 781) is pinned below.
+    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (6238, 25912, 652)
     assert stats.sat_propagations <= 450_000  # 807,922 when every check began at the root
 
     (generator, goals, executions), = registered
@@ -210,6 +216,60 @@ def test_generation_compiles_and_propagates_shared_work_once(tor150, monkeypatch
     assert 1000 < compiled <= reachable
     # One pass per packet that was ever a candidate, none per goal.
     assert 0 < len(root_passes) <= 2 * stats.goals_covered
+
+
+def test_full_chain_guards_emit_the_cnf_recorded_before_pruning(tor150, monkeypatch):
+    """The same cycle with every entry guard negating every higher-priority
+    entry (``tests/full_chain_executor.py``): the same goals and queries, and
+    the CNF this cycle emitted before the guards were pruned."""
+    program, _p4info, entries, _state, _packets = tor150
+    monkeypatch.setattr(packets_module, "SymbolicExecutor", FullChainExecutor)
+    harness = SwitchVHarness(program, PinsSwitchStack(program), cache=PacketCache())
+    stats = harness.validate_data_plane(entries).data_plane
+    assert (stats.goals_total, stats.goals_subsumed, stats.solver_queries) == (164, 9, 537)
+    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (6253, 48723, 781)
+
+
+def _guard_arity(executions):
+    """Summed AND arity over the unique terms the traces reach."""
+    seen, total, stack = set(), 0, [g for e in executions for g in e.trace.values()]
+    while stack:
+        term = stack.pop()
+        if id(term) not in seen:
+            seen.add(id(term))
+            total += len(term.args) if term.op == T.OP_AND else 0
+            stack.extend(term.args)
+    return total
+
+
+@pytest.mark.parametrize(
+    "build, total, bound",
+    # Inst1 and Inst2 (paper Table 3).  Negating every higher-priority entry
+    # summed 1,052,644 and 2,966,008; the overlapping ones sum 23,109 and 37,681.
+    [(build_tor_program, 798, 30_000), (build_wan_program, 1314, 50_000)],
+    ids=["tor798", "wan1314"],
+)
+def test_entry_guards_negate_only_overlapping_entries(build, total, bound, monkeypatch):
+    """Walk only, no solving: the table guards stay proportional to the
+    entries that can overlap, and the overlap search runs once per table per
+    executor, not once per parser profile that applies the table."""
+    program = build()
+    p4info = build_p4info(program)
+    state = _decode_state(p4info, production_like_entries(p4info, total=total, seed=1))
+    searched = []
+    search = executor_module._overlaps
+
+    def counting(cubes, fulls):
+        searched.append(len(cubes))
+        return search(cubes, fulls)
+
+    monkeypatch.setattr(executor_module, "_overlaps", counting)
+    executions = SymbolicExecutor(program, state).execute()
+    # Reduce to ints first: a failing assert would repr the term DAGs.
+    arity, profiles = _guard_arity(executions), len(executions)
+    applied = len({key[1] for e in executions for key in e.trace if key[0] == "miss"})
+    assert arity <= bound
+    assert len(searched) == applied < profiles * applied
 
 
 def _churn_states(p4info, entries, edits=5):

@@ -19,9 +19,11 @@ from repro.smt import terms as T
 from repro.smt.minmodel import minimal_assignment
 from repro.smt.pool import SolverPool
 from repro.symbolic import PacketGenerator
+from repro.symbolic import packets as packets_module
 from repro.workloads import production_like_entries
 
 from tests import test_smt_compile
+from tests.full_chain_executor import FullChainExecutor
 from tests.rup import check_proof
 from tests.test_smt_compile import _random_bool, _random_bv
 from tests.test_symbolic import decode_state
@@ -206,8 +208,20 @@ class TestClauseEconomy:
 
     def test_tor_cold_generation_emits_the_recorded_cnf(self, tor_program, tor_p4info):
         """ToR cold entry coverage with private solvers emits exactly the
-        CNF recorded when the Tseitin encoder it used to be compared with
-        was deleted (like the benchmark's pin on ``symbolic_cold``)."""
+        recorded CNF (like the benchmark's pin on ``symbolic_cold``).  The
+        guards negate only the overlapping higher-priority entries."""
+        state = decode_state(tor_p4info, production_like_entries(tor_p4info, 80, seed=1))
+        stats = PacketGenerator(tor_program, state).generate().stats
+        pins = (stats.cnf_clauses, stats.cnf_vars, stats.gates_shared)
+        assert pins == (11670, 4068, 1665)
+
+    def test_full_chain_guards_emit_the_cnf_recorded_before_pruning(
+        self, tor_program, tor_p4info, monkeypatch
+    ):
+        """The same run with every guard negating every higher-priority entry
+        (``tests/full_chain_executor.py``) still emits the CNF recorded when
+        the Tseitin encoder it used to be compared with was deleted."""
+        monkeypatch.setattr(packets_module, "SymbolicExecutor", FullChainExecutor)
         state = decode_state(tor_p4info, production_like_entries(tor_p4info, 80, seed=1))
         stats = PacketGenerator(tor_program, state).generate().stats
         pins = (stats.cnf_clauses, stats.cnf_vars, stats.gates_shared)
