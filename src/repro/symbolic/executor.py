@@ -17,6 +17,14 @@ are disjoint, so ``match_i`` implies ``not match_j`` and that conjunct adds
 nothing — provided every entry matches the key terms read once per table
 application, as the interpreter does.
 
+Guards of one table application are therefore pairwise exclusive, so a field
+the application wrote with constants (``vrf_id``, ``nexthop_id``, ...) is
+compared with a constant by case, not bit by bit: ``(x & m) == c`` is the
+disjunction of the guards that wrote a ``v`` with ``(v & m) == c`` and of
+``no writer fired ∧ (x_before & m) == c`` (dropped when ``x_before`` is a
+constant that does not match).  ``S`` keeps the ``ite`` chain.  A field
+written under one guard twice, or with a non-constant, is compared by bits.
+
 Hashing is free (§5): each hash use and each action-selector choice
 introduces fresh unconstrained variables.
 """
@@ -26,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bmv2.entries import DecodedAction, DecodedActionSet, InstalledEntry
 from repro.p4.ast import (
@@ -88,6 +96,10 @@ class SymbolicExecutor:
         self.valid_ports = tuple(valid_ports)
         self._fresh_counter = 0
         self._plans: Dict[str, tuple] = {}
+        # The running table application's writes, case-split fields, comparisons.
+        self._writes: Optional[Dict[str, tuple]] = None
+        self._cases: Dict[T.Term, tuple] = {}
+        self._equal: Dict[tuple, T.Term] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -212,16 +224,27 @@ class SymbolicExecutor:
             plan = self._plans[table.name] = (entries, cubes, _overlaps(cubes, fulls))
         return plan
 
-    @staticmethod
-    def _match_condition(keys: Sequence[T.Term], cube: Tuple[Tuple[int, int], ...]) -> T.Term:
-        conjuncts: List[T.Term] = []
-        for key, (value, mask) in zip(keys, cube, strict=True):
-            constant = T.bv_const(value, key.width)
-            if mask == (1 << key.width) - 1:
-                conjuncts.append(key.eq(constant))
-            elif mask:
-                conjuncts.append((key & T.bv_const(mask, key.width)).eq(constant))
-        return T.and_(*conjuncts)
+    def _match_condition(self, keys: Sequence[T.Term], cube: Tuple[Tuple[int, int], ...]) -> T.Term:
+        return T.and_(*[self._equals(k, m, v) for k, (v, m) in zip(keys, cube, strict=True) if m])
+
+    def _equals(self, term: T.Term, mask: int, value: int) -> T.Term:
+        """``(term & mask) == value``; by case on a table-written field."""
+        key = (term, mask, value)
+        if key not in self._equal:
+            case = self._cases.get(term)
+            if case is None:
+                full = mask == (1 << term.width) - 1
+                masked = term if full else term & T.bv_const(mask, term.width)
+                self._equal[key] = masked.eq(T.bv_const(value, term.width))
+            else:
+                before, writes, none_fired = case
+                hits = [guard for guard, v in writes if v.value & mask == value]
+                if before.is_const:
+                    rest = T.bool_const(before.value & mask == value)
+                else:
+                    rest = self._equals(before, mask, value)
+                self._equal[key] = T.or_(*hits, T.and_(none_fired, rest))
+        return self._equal[key]
 
     def _apply_table(
         self,
@@ -236,6 +259,7 @@ class SymbolicExecutor:
         keys = [state[k.field.path] for k in table.keys]
         matches = [self._match_condition(keys, cube) for cube in cubes]
         negations = [T.not_(match) for match in matches]
+        self._writes = {}
         for entry, match, higher in zip(entries, matches, overlaps, strict=True):
             guard = T.and_(context, *[negations[j] for j in higher], match)
             key: TraceKey = ("entry", table.name, entry.identity())
@@ -245,6 +269,11 @@ class SymbolicExecutor:
         miss_key: TraceKey = ("miss", table.name)
         trace[miss_key] = T.or_(trace.get(miss_key, T.FALSE), miss_guard)
         self._execute_action_body(table.default_action.body, {}, state, profile, miss_guard)
+        for dest, (before, writes) in self._writes.items():
+            case = _case(writes)
+            if case is not None:
+                self._cases[state[dest]] = (before, *case)
+        self._writes = None
 
     def _execute_entry_action(
         self,
@@ -313,6 +342,8 @@ class SymbolicExecutor:
         value = self._eval_expr(stmt.value, state, profile, params, width)
         old = state[dest]
         state[dest] = T.ite(guard, value, old)
+        if self._writes is not None and state[dest] is not old:
+            self._writes.setdefault(dest, (old, []))[1].append((guard, value))
 
     # ------------------------------------------------------------------
     # Expressions
@@ -364,6 +395,9 @@ class SymbolicExecutor:
         if isinstance(cond, Cmp):
             left = self._eval_expr(cond.left, state, profile, {}, 0)
             right = self._eval_expr(cond.right, state, profile, {}, left.width)
+            if cond.op in ("==", "!=") and right.is_const and right.width == left.width:
+                equal = self._equals(left, (1 << left.width) - 1, right.value)
+                return equal if cond.op == "==" else T.not_(equal)
             if cond.op == "==":
                 return left.eq(right)
             if cond.op == "!=":
@@ -383,6 +417,16 @@ class SymbolicExecutor:
                 return T.or_(*args)
             return T.not_(args[0])
         raise SymbolicExecutionError(f"unknown condition {cond!r}")
+
+
+def _case(writes: List[Tuple[T.Term, T.Term]]):
+    """``(writes, no writer fired)`` for the ``ite`` nodes one table application
+    added to a field (``_assign`` skips a write that folds away), if every
+    value is a constant and no guard writes twice."""
+    guards = [guard for guard, _value in writes]
+    if len(set(guards)) < len(guards) or not all(value.is_const for _guard, value in writes):
+        return None
+    return writes, T.and_(*[T.not_(guard) for guard in guards])
 
 
 def _prefix_len(m) -> int:

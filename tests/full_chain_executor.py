@@ -7,8 +7,12 @@ guard ``context ∧ match_i ∧ ¬match_j`` over only the higher-priority entrie
 guard negates *every* higher-priority entry (the conjunction grows with each
 entry, so a table's guards hold Θ(N²) literals), and each entry's match
 reads the key from the state as the earlier entries' ``ite`` writes left it.
-Slow on purpose; the tests require every production guard to be the same
-Boolean function as the guard built here, and the packets to be identical.
+Every comparison with a constant (match keys, ``==``/``!=`` in ``if``
+conditions) is the plain bit-level one of :meth:`FullChainExecutor._equals`,
+not the production executor's case split over the guards that wrote a
+table-written field.  Slow on purpose; the tests require every production
+guard to be the same Boolean function as the guard built here, and the
+packets to be identical.
 """
 
 from typing import Dict, List
@@ -21,6 +25,13 @@ from repro.symbolic.profiles import ParserProfile
 
 
 class FullChainExecutor(SymbolicExecutor):
+    def _equals(self, term: T.Term, mask: int, value: int) -> T.Term:
+        """``(term & mask) == value`` bit by bit, whoever wrote ``term``."""
+        constant = T.bv_const(value, term.width)
+        if mask == (1 << term.width) - 1:
+            return term.eq(constant)
+        return (term & T.bv_const(mask, term.width)).eq(constant)
+
     def _ordered_entries(self, table: Table) -> List[InstalledEntry]:
         entries = list(self.state.get(table.name, ()))
         if table.requires_priority:

@@ -5,9 +5,11 @@ witness search may change how packets are found, never which packets come
 out: every witness is canonical, so the bytes are a function of the model
 and the table state alone.  Each digest below hashes, in generation order,
 ``(goal, profile, deparsed packet, ingress port)`` for every packet of one
-cold ``PacketGenerator(program, state).generate()``.  The values were
-recorded before entry guards were pruned to the overlapping higher-priority
-entries, and must hold under any ``PYTHONHASHSEED``.
+cold ``PacketGenerator(program, state).generate()``.  The ToR and WAN values
+were recorded before entry guards were pruned to the overlapping
+higher-priority entries, the toy and Cerberus ones before fields that tables
+write were compared with constants by case; all must hold under any
+``PYTHONHASHSEED``.
 """
 
 import hashlib
@@ -16,10 +18,16 @@ import pytest
 
 from repro.bmv2.packet import deparse_packet
 from repro.p4.p4info import build_p4info
-from repro.p4.programs import build_tor_program, build_wan_program
+from repro.p4.programs import (
+    build_cerberus_program,
+    build_tor_program,
+    build_toy_program,
+    build_wan_program,
+)
 from repro.symbolic import PacketGenerator
 from repro.workloads import production_like_entries
 
+from tests.test_guard_pruning import toy_entries
 from tests.test_symbolic import decode_state
 
 
@@ -50,3 +58,19 @@ def test_generated_packets_are_pinned(build, seed, expected):
     p4info = build_p4info(program)
     state = decode_state(p4info, production_like_entries(p4info, total=150, seed=seed))
     assert packet_digest(program, state) == expected
+
+
+@pytest.mark.parametrize(
+    "build, entries, expected",
+    [
+        (build_toy_program, toy_entries,
+         "ea47a11a3a6ea4b939d01268841d30d4b5afa0f2360f84e5c570a8b37f441358"),
+        (build_cerberus_program, lambda p4info: production_like_entries(p4info, total=40, seed=1),
+         "4b749c720aa424f31f26215eae8543e35204d2f8bdd862255b9a6f3143e5d5f1"),
+    ],
+    ids=["toy40-seed1", "cerberus40-seed1"],
+)
+def test_generated_packets_of_toy_and_cerberus_are_pinned(build, entries, expected):
+    program = build()
+    p4info = build_p4info(program)
+    assert packet_digest(program, decode_state(p4info, entries(p4info))) == expected

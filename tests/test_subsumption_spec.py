@@ -94,7 +94,7 @@ def test_same_run_with_goals_whose_conditions_are_not_trace_terms(tor_program, t
     for key in executions[1].trace:
         if key[0] == "entry":
             first.setdefault(key[1], key)
-    pair = [first["neighbor_tbl"], first["nexthop_tbl"]]
+    pair = [first["neighbor_tbl"], first["acl_pre_ingress_tbl"]]
     custom = [
         # A conjunction the executor never built ...
         trace_goal("two-tables", pair),
