@@ -409,6 +409,11 @@ class ReferenceIndex:
     ``_holders`` counts how many installed reference instances share each
     demand, ``_unsat`` tracks the demands unsatisfied in the full state,
     and ``_by_pair`` finds the demands a disappearing keyset could strand.
+
+    Demands are interned: every entry holding an equal demand stores the
+    same immutable ``(target, frozenset)`` object, which lives exactly as
+    long as its holder count is positive: routes naming one VRF and a few
+    next hops keep a few demands, not two per route.
     """
 
     def __init__(self, refs: ReferenceGraph) -> None:
@@ -417,6 +422,7 @@ class ReferenceIndex:
         self._exports: Dict[Hashable, Tuple[str, KeySet]] = {}
         self._demands: Dict[Hashable, Tuple[Demand, ...]] = {}
         self._holders: Dict[Demand, int] = {}
+        self._canonical: Dict[Demand, Demand] = {}  # the one shared copy
         self._unsat: Dict[Demand, int] = {}  # demand -> unsatisfied instances
         self._by_pair: Dict[Tuple[str, Tuple[str, int]], Set[Demand]] = {}
 
@@ -429,12 +435,11 @@ class ReferenceIndex:
             self._exports[key] = exported
             self._add_export(*exported)
         demands = tuple(
-            (target, frozenset(pairs)) for _source, target, pairs in self._refs._extract(entry)
+            self._register((target, frozenset(pairs)))
+            for _source, target, pairs in self._refs._extract(entry)
         )
         if demands:
             self._demands[key] = demands
-            for demand in demands:
-                self._register(demand)
 
     def delete(self, key: Hashable) -> None:
         for demand in self._demands.pop(key, ()):
@@ -453,6 +458,7 @@ class ReferenceIndex:
         self._exports.clear()
         self._demands.clear()
         self._holders.clear()
+        self._canonical.clear()
         self._unsat.clear()
         self._by_pair.clear()
         for key, entry in items:
@@ -495,7 +501,9 @@ class ReferenceIndex:
     # ------------------------------------------------------------------
     # Demand bookkeeping
     # ------------------------------------------------------------------
-    def _register(self, demand: Demand) -> None:
+    def _register(self, demand: Demand) -> Demand:
+        """Count one more holder of ``demand``; returns its shared copy."""
+        demand = self._canonical.setdefault(demand, demand)
         count = self._holders.get(demand, 0)
         self._holders[demand] = count + 1
         if count == 0:
@@ -506,11 +514,13 @@ class ReferenceIndex:
                 self._unsat[demand] = 1
         elif demand in self._unsat:
             self._unsat[demand] += 1
+        return demand
 
     def _unregister(self, demand: Demand) -> None:
         count = self._holders.get(demand, 0)
         if count <= 1:
             self._holders.pop(demand, None)
+            self._canonical.pop(demand, None)
             self._unsat.pop(demand, None)
             target, pairs = demand
             for pair in pairs:

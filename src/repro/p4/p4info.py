@@ -93,6 +93,14 @@ class TableInfo:
     def _match_fields_by_name(self) -> Dict[str, MatchFieldInfo]:
         return {mf.name: mf for mf in reversed(self.match_fields)}
 
+    @cached_property
+    def decode_plan(self):
+        """The wire decoder's :class:`~repro.bmv2.entries.TableDecodePlan`
+        for this table, compiled on first use."""
+        from repro.bmv2.entries import TableDecodePlan  # the decoder's own layer
+
+        return TableDecodePlan(self)
+
     def match_field_by_id(self, field_id: int) -> Optional[MatchFieldInfo]:
         return self.match_fields_by_id.get(field_id)
 
