@@ -30,11 +30,6 @@ from repro.p4rt.messages import TableEntry, Update, UpdateType, WriteResponse
 from repro.p4rt.status import Code, Status
 from repro.switchv.report import Incident, IncidentKind, IncidentLog
 
-# Cached marker for wire entries that fail to decode: equal-but-undecodable
-# pairs must keep reporting mismatches, so decode *failures* are memoised
-# alongside successes (see Oracle._decode_cached).
-_DECODE_FAILED = object()
-
 
 @dataclass(frozen=True)
 class Classified:
@@ -128,11 +123,13 @@ class EntryOrder:
 class Oracle:
     """Judges responses and read-backs against the instantiated spec.
 
-    State bookkeeping is incremental: per-table entry counters, a
+    State bookkeeping is incremental: per-table entry counters and a
     :class:`~repro.p4.constraints.refs.ReferenceIndex` answering the
-    dangling/orphan questions, and a decoded-form cache keyed by wire
-    entry, so per-update judging cost is independent of how many entries
-    are installed.  ``tests/linear_state.py`` keeps the linear
+    dangling/orphan questions, so per-update judging cost is independent of
+    how many entries are installed.  No decoded copy of the state is kept:
+    the keys of adopted entries not known to decode are the only record,
+    and a read-back decodes just those and the entries it changed.
+    ``tests/linear_state.py`` keeps the linear
     recomputation of the same state as the executable specification the
     differential tests compare against.
     """
@@ -159,14 +156,13 @@ class Oracle:
         # The adopted switch state: entry identity -> wire entry.
         self.expected: Dict[Tuple, TableEntry] = {}
         # Mirrors of `expected`: per-table entry counts, the
-        # reverse-reference index, the decoded-form cache for read-back
-        # diffing, and its values in order for the generator's draws.
+        # reverse-reference index, and its values in order for the
+        # generator's draws.
         self._counts: Dict[int, int] = {}
         self._order = EntryOrder(p4info.tables)
         self._index = ReferenceIndex(self.refs)
-        self._decoded: Dict[TableEntry, object] = {}
         # Keys of `expected` not known to decode (adopted unjudged, or
-        # accepted though invalid); the rest passed `classify`'s decode.
+        # accepted though invalid); the rest passed a decode.
         self._unverified: Dict[Tuple, None] = {}
 
     # The installed-state view RequestGenerator and the stateful mutators
@@ -512,10 +508,8 @@ class Oracle:
         # decoded here, once; one that fails sends each read-back to the diff.
         if len(read_back) == len(self.expected) and list(read_back) == list(self.expected.values()):
             self._unverified = dict.fromkeys(
-                key for key in self._unverified
-                if self._decode_cached(self.expected[key]) is _DECODE_FAILED
+                key for key in self._unverified if self._decode(self.expected[key]) is None
             )
-            self._prune_decode_cache()
             if not self._unverified:
                 return
         self._diff_read_back(read_back, log)
@@ -588,7 +582,7 @@ class Oracle:
                 continue
             if other is not entry and other != entry:
                 changed.append(key)
-            if not self._same_entry(entry, other):
+            if not self._same_entry(key, entry, other):
                 log.report(
                     Incident(
                         kind=IncidentKind.READBACK_MISMATCH,
@@ -653,36 +647,23 @@ class Oracle:
             self._unverified[key] = None
         self.expected = observed
         self._order.reset(observed)
-        self._prune_decode_cache()
 
-    def _same_entry(self, a: TableEntry, b: TableEntry) -> bool:
-        da = self._decode_cached(a)
+    def _same_entry(self, key: Tuple, a: TableEntry, b: TableEntry) -> bool:
+        """Whether adopted entry ``a`` and its read-back ``b`` decode to the
+        same entry.  An unchanged entry (every steady-state read-back) only
+        has to decode, which is decided once; a changed pair is decoded."""
         if a is b or a == b:
-            # Handed back as sent (every steady-state read-back): it only has to decode.
-            return da is not _DECODE_FAILED
-        db = self._decode_cached(b)
-        return da is not _DECODE_FAILED and db is not _DECODE_FAILED and da == db
+            if key in self._unverified and self._decode(a) is not None:
+                del self._unverified[key]
+            return key not in self._unverified
+        decoded = self._decode(a)
+        return decoded is not None and decoded == self._decode(b)
 
-    def _decode_cached(self, entry: TableEntry) -> object:
-        """Decode through a cache keyed by the (frozen, hashable) wire
-        entry.  Failures are cached too: an undecodable pair must keep
-        producing a mismatch verdict every batch, exactly as the uncached
-        path does."""
-        cached = self._decoded.get(entry)
-        if cached is None:
-            try:
-                cached = decode_table_entry(self.p4info, entry)
-            except EntryDecodeError:
-                cached = _DECODE_FAILED
-            self._decoded[entry] = cached
-        return cached
-
-    def _prune_decode_cache(self) -> None:
-        # The cache is repopulated on demand; dropping it wholesale when it
-        # has clearly outgrown the live state keeps memory bounded without
-        # per-entry eviction bookkeeping.
-        if len(self._decoded) > 2 * len(self.expected) + 1024:
-            self._decoded.clear()
+    def _decode(self, entry: TableEntry) -> Optional[InstalledEntry]:
+        try:
+            return decode_table_entry(self.p4info, entry)
+        except EntryDecodeError:
+            return None
 
     # ------------------------------------------------------------------
     # State helpers

@@ -77,6 +77,10 @@ class Solver:
         self._last_result: Optional[Result] = None
         self._var_sorts: Dict[str, T.Sort] = {}
         self._seen_assumptions: Set[T.Term] = set()
+        # After an UNSAT check: the first assumption term that the assertions
+        # and the assumptions listed before it refute (None: the assertions
+        # alone are UNSAT).
+        self.failed_assumption: Optional[T.Term] = None
 
     @property
     def proof(self):
@@ -114,15 +118,16 @@ class Solver:
 
         Assumption terms are encoded (and cached) but not permanently
         asserted, so successive checks with different assumptions reuse the
-        same encoding.
+        same encoding.  After UNSAT, :attr:`failed_assumption` names the
+        assumption that made it so.
         """
-        assumption_lits = []
-        for a in assumptions:
-            if not a.is_bool:
-                raise TypeError(f"assumptions must be boolean, got {a.sort!r}")
-            if self._simplify:
-                a = simplify(a)
+        assumption_lits, terms = [], {}
+        for term in assumptions:
+            if not term.is_bool:
+                raise TypeError(f"assumptions must be boolean, got {term.sort!r}")
+            a = simplify(term) if self._simplify else term
             if a is T.FALSE:
+                self.failed_assumption = term
                 self._last_result = Result.UNSAT
                 return self._last_result
             if a is T.TRUE:
@@ -130,8 +135,12 @@ class Solver:
             if a not in self._seen_assumptions:  # sorts are recorded once
                 self._seen_assumptions.add(a)
                 self._var_sorts.update(T.free_variables(a))
-            assumption_lits.append(self._blaster.literal_for(a))
+            lit = self._blaster.literal_for(a)
+            assumption_lits.append(lit)
+            terms.setdefault(lit, term)
         sat = self._sat.solve(assumption_lits)
+        failed = self._sat.failed_assumptions
+        self.failed_assumption = terms[failed[0]] if failed else None
         self._last_result = Result.SAT if sat else Result.UNSAT
         return self._last_result
 

@@ -255,6 +255,13 @@ class SymbolicExecutor:
         trace: Dict[TraceKey, T.Term],
     ) -> None:
         entries, cubes, overlaps = self._table_plan(table)
+        if context is T.FALSE:
+            # A dead application: every guard folds to FALSE and every write
+            # to the old value, so only its trace keys are left to record.
+            for entry in entries:
+                trace.setdefault(("entry", table.name, entry.identity()), T.FALSE)
+            trace.setdefault(("miss", table.name), T.FALSE)
+            return
         # Each key is read once, before any entry's action writes the state.
         keys = [state[k.field.path] for k in table.keys]
         matches = [self._match_condition(keys, cube) for cube in cubes]

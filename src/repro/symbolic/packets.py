@@ -337,6 +337,7 @@ class PacketGenerator:
                 (condition, background),
                 (condition,),
             ]
+            refuted: List[tuple] = []  # assumption prefixes proved UNSAT
             for assumptions in attempts:
                 # The solved formula (constraints ∧ assumptions) fully
                 # determines both the SAT verdict and the canonical witness,
@@ -354,14 +355,21 @@ class PacketGenerator:
                         if cached is None:
                             continue  # memoised UNSAT for this attempt
                         return self._packet_from_model(goal, execution, cached)
-                stats.solver_queries += 1
-                if solver.check(*assumptions) is Result.SAT:
-                    witness = self._canonical_witness(
-                        solver, execution, assumptions, stats
-                    )
-                    if key is not None:
-                        self._pool.store_formula(key, witness)
-                    return self._packet_from_model(goal, execution, witness)
+                if not any(assumptions[: len(p)] == p for p in refuted):
+                    stats.solver_queries += 1
+                    if solver.check(*assumptions) is Result.SAT:
+                        witness = self._canonical_witness(
+                            solver, execution, assumptions, stats
+                        )
+                        if key is not None:
+                            self._pool.store_formula(key, witness)
+                        return self._packet_from_model(goal, execution, witness)
+                    # The attempt is UNSAT through its failed assumption, and
+                    # so is every later one that starts the same way.
+                    if solver.failed_assumption is not None:
+                        refuted.append(
+                            assumptions[: assumptions.index(solver.failed_assumption) + 1]
+                        )
                 if key is not None:
                     self._pool.store_formula(key, None)
         return None

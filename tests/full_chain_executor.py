@@ -10,9 +10,10 @@ reads the key from the state as the earlier entries' ``ite`` writes left it.
 Every comparison with a constant (match keys, ``==``/``!=`` in ``if``
 conditions) is the plain bit-level one of :meth:`FullChainExecutor._equals`,
 not the production executor's case split over the guards that wrote a
-table-written field.  Slow on purpose; the tests require every production
-guard to be the same Boolean function as the guard built here, and the
-packets to be identical.
+table-written field.  A table applied under a dead (``FALSE``) context is
+walked in full, though the executor skips it.  Slow on purpose; the tests
+require every production guard to be the same Boolean function as the
+guard built here, and the packets to be identical.
 """
 
 from typing import Dict, List
@@ -77,6 +78,7 @@ class FullChainExecutor(SymbolicExecutor):
         context: T.Term,
         trace: Dict[TraceKey, T.Term],
     ) -> None:
+        fresh = self._fresh_counter
         no_higher_match = T.TRUE
         for entry in self._ordered_entries(table):
             match = self._full_match_condition(table, entry, state)
@@ -91,3 +93,8 @@ class FullChainExecutor(SymbolicExecutor):
         self._execute_action_body(
             table.default_action.body, {}, state, profile, miss_guard
         )
+        if context is T.FALSE:
+            # Under a dead context every guard folds to FALSE, so the hash
+            # and selector variables drawn here appear in no term: hand
+            # their names back, as the executor never draws them.
+            self._fresh_counter = fresh

@@ -63,7 +63,8 @@ class LinearOracle(Oracle):
         self.expected = observed
         self._available = self.refs.collect_state(observed.values())
 
-    def _same_entry(self, a: TableEntry, b: TableEntry) -> bool:
+    def _same_entry(self, key: Tuple, a: TableEntry, b: TableEntry) -> bool:
+        # Decode both sides of every common entry, changed or not.
         try:
             da = decode_table_entry(self.p4info, a)
             db = decode_table_entry(self.p4info, b)

@@ -416,28 +416,24 @@ def test_undecodable_entry_mismatches_every_batch_even_when_echoed(toy_p4info, m
             return real_decode(p4info, entry)
 
         monkeypatch.setattr(oracle_module, "decode_table_entry", counting_decode)
-        probes = []
-        real_probe = Oracle._decode_cached
-        monkeypatch.setattr(
-            Oracle, "_decode_cached", lambda self, e: probes.append(e) or real_probe(self, e)
-        )
-        per_batch, probes_per_batch = [], []
+        per_batch, decodes_per_batch = [], []
         for echoed in (broken, replace(broken), broken):
             assert echoed == broken
-            before = len(probes)
+            before = len(decodes)
             log = oracle.judge_batch([], nothing, read_back=[good, echoed])
             per_batch.append(_readback_kinds(log))
-            probes_per_batch.append(len(probes) - before)
+            decodes_per_batch.append(len(decodes) - before)
         monkeypatch.undo()
         assert all(len(kinds) == 1 and "content differs" in kinds[0] for kinds in per_batch)
         summaries[mode] = per_batch
         if mode:
-            # One decode per distinct wire entry for the oracle's lifetime.
-            # The first read-back verifies both resynced entries (2 probes);
-            # `broken` fails, so every read-back re-probes it (1) and takes
-            # the diff, which probes each echoed entry once (2).
-            assert len(decodes) == 2
-            assert probes_per_batch == [4, 3, 3]
+            # No decoded copy is kept.  The first read-back decodes both
+            # resynced entries on the fast path (2) and `broken` again in
+            # the diff (1).  `broken` stays unverified, so each later
+            # read-back decodes it on the fast path and in the diff (2);
+            # `good` is never decoded again.
+            assert decodes_per_batch == [3, 2, 2]
+            assert good not in decodes[2:]
     assert summaries[True] == summaries[False]
 
 
@@ -448,6 +444,8 @@ _READ_BACK_CASES = {
     "equal_copies": (0, False),
     "reordered": (1, False),
     "one_dropped": (1, True),
+    "one_extra": (1, True),
+    "mixed": (3, True),
     "action_changed": (1, True),
     "changed_to_undecodable": (3, True),
     "undecodable_echoed": (3, True),
@@ -463,7 +461,8 @@ def test_read_back_fast_path_equals_the_diff_spec(case, tor_p4info, monkeypatch)
     part arrives through judged inserts (decoded by `classify`); the
     undecodable cases add an invalid insert the switch accepted, or read an
     entry back changed into an undecodable one: either must mismatch on
-    every read-back."""
+    every read-back.  The mixed case misses, adds and changes entries, one
+    of them into an undecodable one, in a single read-back."""
     b = EntryBuilder(tor_p4info)
     adopted = [b.exact("vrf_tbl", {"vrf_id": vid}, "NoAction") for vid in (4, 5)]
     routes = [
@@ -476,6 +475,7 @@ def test_read_back_fast_path_equals_the_diff_spec(case, tor_p4info, monkeypatch)
         padded = replace(vrf.matches[0], value=b"\x00" + vrf.matches[0].value)
         inserted.append(replace(vrf, matches=(padded,)))
     state = adopted + inserted
+    extra = b.exact("vrf_tbl", {"vrf_id": 7}, "NoAction")
     read_back = {
         "echoed": state,
         "equal_copies": [replace(e) for e in state],
@@ -484,6 +484,9 @@ def test_read_back_fast_path_equals_the_diff_spec(case, tor_p4info, monkeypatch)
         "action_changed": state[:-1] + routes[2:],
         "changed_to_undecodable": state[:-1] + [replace(state[-1], action=ActionInvocation(1, ()))],
         "undecodable_echoed": state,
+        "one_extra": state + [extra],
+        # A missing, an extra, a changed and a changed-to-undecodable entry.
+        "mixed": [adopted[1], routes[2], extra, replace(routes[0], action=ActionInvocation(1, ()))],
     }[case]
     diffs = []
     real_diff = Oracle._diff_read_back

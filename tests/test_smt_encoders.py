@@ -214,19 +214,23 @@ class TestClauseEconomy:
         state = decode_state(tor_p4info, production_like_entries(tor_p4info, 80, seed=1))
         stats = PacketGenerator(tor_program, state).generate().stats
         pins = (stats.cnf_clauses, stats.cnf_vars, stats.gates_shared)
-        assert pins == (8777, 3182, 1592)
+        # (8777, 3182, 1592) while cascade attempts an earlier failed
+        # assumption refutes were still encoded and asked.
+        assert pins == (8763, 3182, 1369)
 
     def test_full_chain_guards_emit_the_cnf_recorded_before_pruning(
         self, tor_program, tor_p4info, monkeypatch
     ):
         """The same run with every guard negating every higher-priority entry
-        (``tests/full_chain_executor.py``) still emits the CNF recorded when
-        the Tseitin encoder it used to be compared with was deleted."""
+        (``tests/full_chain_executor.py``) emits the CNF recorded when the
+        Tseitin encoder it used to be compared with was deleted, less the
+        assumptions of the cascade attempts that are no longer asked."""
         monkeypatch.setattr(packets_module, "SymbolicExecutor", FullChainExecutor)
         state = decode_state(tor_p4info, production_like_entries(tor_p4info, 80, seed=1))
         stats = PacketGenerator(tor_program, state).generate().stats
         pins = (stats.cnf_clauses, stats.cnf_vars, stats.gates_shared)
-        assert pins == (14897, 4081, 1672)
+        # (14897, 4081, 1672) before refuted cascade attempts were skipped.
+        assert pins == (14891, 4081, 1516)
 
     def test_stats_surface_cnf_counters(self):
         s = Solver()

@@ -409,6 +409,20 @@ class TestAssumptionSemantics:
         # The irrelevant assumption alone is fine.
         assert s.solve([pos_lit(c)])
 
+    def test_solver_names_the_failed_assumption_term(self):
+        """Every UNSAT check names the refuted assumption as the caller
+        passed it, the short-circuited constant-false one included."""
+        s = Solver()
+        x = T.bv_var("x", 8)
+        s.add(x.ult(10))
+        low, high, never = x.ult(5), x.eq(20), T.bv_const(1, 8).eq(T.bv_const(2, 8))
+        assert s.check(low, high) is Result.UNSAT
+        assert s.failed_assumption is high
+        assert s.check(low, never, high) is Result.UNSAT
+        assert s.failed_assumption is never
+        assert s.check(low) is Result.SAT
+        assert s.failed_assumption is None
+
     def test_failed_assumptions_cleared_on_sat(self):
         s = SatSolver()
         a, b = s.new_var(), s.new_var()

@@ -41,18 +41,28 @@ import tracemalloc
 
 import pytest
 
-from repro.bmv2.entries import decode_table_entry
+from repro.bmv2.entries import InstalledEntry, decode_table_entry
 from repro.bmv2.index import TableIndex
 from repro.bmv2.interpreter import Interpreter
 from repro.bmv2.packet import deparse_packet, make_ipv4_packet
 from repro.fuzzer import FuzzerConfig, P4Fuzzer
+from repro.fuzzer import oracle as oracle_module
 from repro.fuzzer.oracle import Oracle
 from repro.p4.constraints.refs import AvailableState, ReferenceGraph
 from repro.p4.p4info import build_p4info
 from repro.p4.programs import build_tor_program
 from repro.p4rt import codec
-from repro.p4rt.messages import ReadRequest, TableEntry, Update, UpdateType, WriteRequest
+from repro.p4rt.messages import (
+    ReadRequest,
+    TableEntry,
+    Update,
+    UpdateType,
+    WriteRequest,
+    WriteResponse,
+)
+from repro.p4rt.status import Status
 from repro.switch import PinsSwitchStack, ReferenceSwitch
+from repro.switchv.report import IncidentKind
 from repro.workloads import EntryBuilder, production_like_entries
 from repro.workloads.scale import production_scale_program
 from tests.plain_refs import PlainReferenceGraph
@@ -492,3 +502,90 @@ def test_installed_state_is_lean(production_states):
     size = sum(cost[1] for cost in costs)
     assert objects <= UNSHARED_OBJECTS_PER_ENTRY * 2 / 3, costs
     assert size <= UNSHARED_BYTES_PER_ENTRY * 2 / 3, costs
+
+
+NOTHING = WriteResponse(statuses=())
+
+
+def _held_installed_entries() -> int:
+    gc.collect()
+    return sum(isinstance(o, InstalledEntry) for o in gc.get_objects())
+
+
+def test_oracle_keeps_no_decoded_state(production_states):
+    """Judging a read-back decodes entries without keeping them: after
+    ``resync`` of the 10k state and one read-back the oracle holds no
+    ``InstalledEntry`` (a decoded copy of the state held all 10,000)."""
+    _program, p4info, states = production_states
+    entries = states[LARGE]
+    oracle = Oracle(p4info)
+    before = _held_installed_entries()
+    oracle.resync(entries)
+    log = oracle.judge_batch([], NOTHING, read_back=list(entries))
+    assert log.count == 0 and not oracle._unverified
+    assert _held_installed_entries() - before == 0
+
+
+def test_read_back_decodes_only_unverified_or_changed(production_states, monkeypatch):
+    """The first read-back after ``resync`` decodes each adopted entry
+    exactly once.  On a state the oracle judged insert by insert, a
+    read-back with k changed entries decodes at most the 2k changed pairs
+    plus the unverified entries, not every common entry; the next read-back
+    verifies just the k adopted changes."""
+    _program, p4info, states = production_states
+    entries = states[LARGE]
+    decodes = collections.Counter()
+    real = oracle_module.decode_table_entry
+
+    def counted(info, entry):
+        decodes[entry] += 1
+        return real(info, entry)
+
+    monkeypatch.setattr(oracle_module, "decode_table_entry", counted)
+    oracle = Oracle(p4info)
+    oracle.resync(entries)
+    assert oracle.judge_batch([], NOTHING, read_back=list(entries)).count == 0
+    assert len(decodes) == len(entries) and set(decodes.values()) == {1}
+
+    oracle = Oracle(p4info)
+    inserts = [Update(UpdateType.INSERT, e) for e in entries]
+    ok = WriteResponse(statuses=tuple(Status() for _ in inserts))
+    assert oracle.judge_batch(inserts, ok, read_back=None).count == 0
+    route_table = p4info.table_by_name("ipv4_tbl").id
+    drop = EntryBuilder(p4info).lpm("ipv4_tbl", {"vrf_id": 1}, "ipv4_dst", 0, 8, "drop", {}).action
+    routes = [i for i, e in enumerate(entries) if e.table_id == route_table and e.action != drop]
+    changed = set(routes[:: len(routes) // 10][:10])
+    read_back = [
+        dataclasses.replace(e, action=drop) if i in changed else e for i, e in enumerate(entries)
+    ]
+    for mismatch in (True, False):
+        unverified = len(oracle._unverified)
+        decodes.clear()
+        log = oracle.judge_batch([], NOTHING, read_back=read_back)
+        assert bool(log.count) is mismatch
+        assert sum(decodes.values()) <= 2 * len(changed) + unverified, (
+            sum(decodes.values()), unverified,
+        )
+    assert not oracle._unverified
+
+
+def test_undecodable_adopted_entry_mismatches_every_read_back(production_states):
+    """A malformed entry adopted by ``resync`` (a VRF id with a non-canonical
+    leading zero byte) is reported the same way on each of three read-backs
+    of the 10k state: one content mismatch, nothing else."""
+    _program, p4info, states = production_states
+    vrf = EntryBuilder(p4info).exact("vrf_tbl", {"vrf_id": 77}, "NoAction")
+    padded = dataclasses.replace(vrf.matches[0], value=b"\x00" + vrf.matches[0].value)
+    read_back = [*states[LARGE], dataclasses.replace(vrf, matches=(padded,))]
+    oracle = Oracle(p4info)
+    oracle.resync(read_back)
+    logs = [
+        [
+            (i.kind, i.summary, i.expected, i.observed)
+            for i in oracle.judge_batch([], NOTHING, read_back=read_back).incidents
+        ]
+        for _ in range(3)
+    ]
+    assert len(logs[0]) == 1 and logs[0][0][1].startswith("entry content differs")
+    assert logs[0][0][0] is IncidentKind.READBACK_MISMATCH
+    assert logs[1] == logs[0] and logs[2] == logs[0]
