@@ -12,12 +12,9 @@ specification (§4.3).
 * :mod:`repro.fuzzer.oracle` — response/readback admissibility judging.
 * :mod:`repro.fuzzer.batching` — dependency-respecting batch assembly.
 * :mod:`repro.fuzzer.pipeline` — windowed in-flight write scheduling.
-* :mod:`repro.fuzzer.feedback` — greybox coverage feedback (trace-key
-  scoring, corpus, uncovered-region biasing).
 * :mod:`repro.fuzzer.fuzzer` — the campaign driver.
 """
 
-from repro.fuzzer.feedback import CoverageProgress, CoverageTracker
 from repro.fuzzer.fuzzer import FuzzerConfig, FuzzResult, P4Fuzzer, TransportSummary
 from repro.fuzzer.generator import RequestGenerator
 from repro.fuzzer.mutations import MUTATION_NAMES
@@ -26,8 +23,6 @@ from repro.fuzzer.pipeline import BatchOutcome, PipelineStats, WriteScheduler
 
 __all__ = [
     "BatchOutcome",
-    "CoverageProgress",
-    "CoverageTracker",
     "FuzzResult",
     "FuzzerConfig",
     "MUTATION_NAMES",

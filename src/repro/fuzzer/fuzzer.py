@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.fuzzer.batching import Footprint, make_batches
-from repro.fuzzer.feedback import CoverageProgress, CoverageTracker
 from repro.fuzzer.generator import RequestGenerator
 from repro.fuzzer.mutations import MUST_REJECT, apply_random_mutation
 from repro.fuzzer.oracle import Oracle
@@ -48,14 +47,6 @@ class FuzzerConfig:
     # coalesces read-backs to one per window, and generates the next waves
     # while a window is in flight.
     pipeline_depth: int = 1
-    # Greybox coverage feedback (repro.fuzzer.feedback): score every judged
-    # batch against the model's symbolic trace and bias table/mutation
-    # selection toward uncovered regions.  Needs the P4 model —
-    # P4Fuzzer(..., model=program); the harness and campaigns pass it.
-    coverage_guided: bool = False
-    # Track coverage without biasing selection (the blind arm of benchmark
-    # comparisons).  None follows coverage_guided.
-    track_coverage: Optional[bool] = None
 
 
 @dataclass
@@ -112,9 +103,6 @@ class FuzzResult:
     transport_wait_seconds: float = 0.0
     # The windowed scheduler's counters.
     pipeline: PipelineStats = field(default_factory=PipelineStats)
-    # Coverage-feedback series when the campaign tracked coverage
-    # (coverage_guided or track_coverage).
-    coverage: Optional[CoverageProgress] = None
 
     @property
     def updates_per_second(self) -> float:
@@ -145,7 +133,6 @@ class P4Fuzzer:
         switch: P4RuntimeService,
         config: Optional[FuzzerConfig] = None,
         solver_pool=None,
-        model=None,
     ) -> None:
         self.p4info = p4info
         self.switch = switch
@@ -166,27 +153,6 @@ class P4Fuzzer:
         self.oracle = Oracle(p4info)
         # The generator reads the oracle's projection in place.
         self.generator.state = self.oracle
-        # Greybox feedback: the tracker needs the P4 model (P4Info alone
-        # can't drive the symbolic executor).  Guided mode additionally
-        # biases the generator's table pick and the mutation try-order.
-        track = self.config.track_coverage
-        if track is None:
-            track = self.config.coverage_guided
-        self.feedback: Optional[CoverageTracker] = None
-        if track:
-            if model is None:
-                raise ValueError(
-                    "coverage tracking needs the P4 model: "
-                    "P4Fuzzer(..., model=program)"
-                )
-            self.feedback = CoverageTracker(
-                model,
-                p4info,
-                valid_ports=self.config.valid_ports,
-                constraint_models=self.generator.constraint_models,
-            )
-            if self.config.coverage_guided:
-                self.generator.table_bias = self.feedback.table_weights
         self._modified_keys = set()
         # True when the oracle's expected state is stale: an ambiguous
         # write was abandoned and the recovery read-back also failed, so
@@ -223,8 +189,6 @@ class P4Fuzzer:
 
         self._campaign(result)
         result.elapsed_seconds = time.perf_counter() - start
-        if self.feedback is not None:
-            result.coverage = self.feedback.progress()
         result.final_entries = self.oracle.installed_entries()
         result.modified_entries = [
             entry
@@ -246,16 +210,9 @@ class P4Fuzzer:
         result.transport.idempotent_rescues = stats.idempotent_rescues
 
     def _generate_wave(self, result: FuzzResult) -> List[Update]:
-        guided = self.feedback is not None and self.config.coverage_guided
         updates: List[Update] = []
         for _ in range(self.config.updates_per_write):
-            update = None
-            if guided:
-                # Greybox corpus replay: occasionally re-emit an update
-                # from a coverage-increasing batch (then mutate as usual).
-                update = self.feedback.corpus_seed(self.rng)
-            if update is None:
-                update = self.generator.generate_update()
+            update = self.generator.generate_update()
             if update is None:
                 continue
             mutate = (
@@ -269,11 +226,8 @@ class P4Fuzzer:
                     update,
                     allowed=self.config.mutations,
                     state=self.generator.state,
-                    weights=self.feedback.mutation_weights() if guided else None,
                 )
                 if mutated is not None:
-                    if self.feedback is not None:
-                        self.feedback.tag_update(mutated.update, mutated.mutation)
                     result.mutation_counts[mutated.mutation] = (
                         result.mutation_counts.get(mutated.mutation, 0) + 1
                     )
@@ -286,13 +240,6 @@ class P4Fuzzer:
             result.valid_updates += 1
             updates.append(update)
         return updates
-
-    def _observe_coverage(self, batch: List[Update], write_index: int) -> None:
-        """Score one judged batch against the model's coverage map."""
-        if self.feedback is not None:
-            self.feedback.observe_batch(
-                batch, self.oracle.installed_entries(), write_index
-            )
 
     # ------------------------------------------------------------------
     # Transport-wait transparency
@@ -482,11 +429,6 @@ class P4Fuzzer:
             rb = read_back if attach_rb and position == len(pending) - 1 else None
             log = self.oracle.judge_batch(outcome.batch, outcome.response, rb)
             result.incidents.extend(log)
-            # Coverage accounting rides the deferred in-order judging
-            # stage — never the in-flight path — so the tracker sees the
-            # oracle's post-judging states in submission order, exactly as
-            # one-batch windows would.
-            self._observe_coverage(outcome.batch, write_index)
         if read_back is not None and (need_resync or mismatch):
             self.oracle.resync(read_back)
             if resync_counted:

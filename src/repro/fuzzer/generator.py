@@ -18,7 +18,7 @@ constraint-aware mode sketched in §7 is available via
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzzer.oracle import GeneratorState
 from repro.p4.ast import MatchKind
@@ -94,10 +94,6 @@ class RequestGenerator:
             ]
             for action in p4info.actions.values()
         }
-        # Coverage-guided table selection: a callable mapping the candidate
-        # pool to per-table weights (repro.fuzzer.feedback supplies it).
-        # None keeps the uniform pick — and the blind rng stream — intact.
-        self.table_bias: Optional[Callable[[Sequence[TableInfo]], Sequence[float]]] = None
         self.constraint_aware = constraint_aware
         self._constraints = {}
         for tid, table in p4info.tables.items():
@@ -198,17 +194,7 @@ class RequestGenerator:
             tables = list(self.p4info.tables.values())
             pool = [t for t in tables if self._references_satisfiable(t)] or tables
             self._table_pool = (available, available.version, pool)
-        pool = self._table_pool[2]
-        if self.table_bias is not None:
-            weights = list(self.table_bias(pool))
-            return self.rng.choices(pool, weights=weights, k=1)[0]
-        return self.rng.choice(pool)
-
-    def constraint_models(self) -> Dict[int, List[Dict[str, int]]]:
-        """The constraint-aware planner's cached per-table boundary models
-        (populated lazily as tables are planned) — read-only view for the
-        coverage feedback loop's boundary-distance regions."""
-        return self._constraint_models
+        return self.rng.choice(self._table_pool[2])
 
     def _references_satisfiable(self, table: TableInfo) -> bool:
         available = self.state.available

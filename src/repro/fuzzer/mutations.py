@@ -401,43 +401,20 @@ def _run_mutator(
     return _MUTATORS[name](rng, p4info, update)
 
 
-def _weighted_order(
-    rng: random.Random, names: List[str], weights: Dict[str, float]
-) -> List[str]:
-    """Sample the try-order without replacement, biased by weight.
-
-    Unknown names weigh 1.0; weights are floored so no mutation starves
-    entirely.  Deterministic given the rng state."""
-    remaining = list(names)
-    w = [max(weights.get(name, 1.0), 1e-6) for name in remaining]
-    ordered: List[str] = []
-    while remaining:
-        pick = rng.choices(range(len(remaining)), weights=w, k=1)[0]
-        ordered.append(remaining.pop(pick))
-        w.pop(pick)
-    return ordered
-
-
 def apply_random_mutation(
     rng: random.Random,
     p4info: P4Info,
     update: Update,
     allowed: Optional[List[str]] = None,
     state=None,
-    weights: Optional[Dict[str, float]] = None,
 ) -> Optional[MutatedUpdate]:
     """Apply one randomly chosen applicable mutation to a valid update.
 
-    ``state`` is the generator's installed-state view for the stateful
-    mutations; ``weights`` (name -> weight) biases the try-order — the
-    coverage-guided feedback loop supplies both.  Without weights the
-    order is a uniform shuffle, exactly the blind fuzzer's behaviour.
+    The try-order is a uniform shuffle; ``state`` is the generator's
+    installed-state view for the stateful mutations.
     """
     names = list(allowed) if allowed is not None else list(MUTATION_NAMES)
-    if weights is None:
-        rng.shuffle(names)
-    else:
-        names = _weighted_order(rng, names, weights)
+    rng.shuffle(names)
     for name in names:
         mutated = _run_mutator(name, rng, p4info, update, state)
         if mutated is not None:

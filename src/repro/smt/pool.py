@@ -25,9 +25,6 @@ assert-once constraints, for :mod:`repro.analysis`, which re-lints the same
 program's formulas: per-check conditions flow in through
 ``Solver.check(assumptions)``, whose root gate literals act as activation
 literals.
-
-Pools fork cleanly: parallel shard workers inherit the memo through fork's
-copy-on-write memory.
 """
 
 from __future__ import annotations

@@ -55,8 +55,6 @@ class CampaignConfig:
     workload_entries: int = 90
     seed: int = 11
     run_trivial: bool = True
-    # Packet-generation parallelism (workers=1 is the sequential path).
-    workers: int = 1
     # Transport-availability testing: a FaultProfile (or catalogue name
     # from repro.p4rt.channel.PROFILES) injected between SwitchV and the
     # stack, plus the retry policy that absorbs it.  None = clean channel.
@@ -71,10 +69,6 @@ class CampaignConfig:
     # with error-severity diagnostics yields MODEL_ERROR incidents and no
     # fuzzing/replay happens (repro.analysis).
     lint_model: bool = False
-    # Greybox coverage feedback for the fuzz phase (repro.fuzzer.feedback):
-    # per-batch trace-key scoring plus uncovered-region biasing.  Fleet
-    # workers inherit this through the pickled CampaignConfig.
-    coverage_guided: bool = False
 
 
 @dataclass
@@ -111,12 +105,10 @@ def build_campaign(
         model,
         stack,
         simulator_faults=registry,
-        workers=config.workers,
         fault_profile=config.fault_profile,
         retry_policy=config.retry_policy,
         lint_model=config.lint_model,
         pipeline_depth=config.pipeline_depth,
-        coverage_guided=config.coverage_guided,
     )
     return CampaignSetup(
         fault=fault, stack_kind=stack_kind, model=model, harness=harness, config=config
@@ -152,7 +144,6 @@ def run_fault_campaign(
             updates_per_write=config.fuzz_updates_per_write,
             seed=config.seed,
             pipeline_depth=config.pipeline_depth,
-            coverage_guided=config.coverage_guided,
         ),
     )
 
@@ -242,9 +233,7 @@ def _fuzz_cycle(stack_kind: str, config: CampaignConfig, seed: int, fault_profil
             updates_per_write=config.fuzz_updates_per_write,
             seed=seed,
             pipeline_depth=config.pipeline_depth,
-            coverage_guided=config.coverage_guided,
         ),
-        model=program,
     )
     return fuzzer.run(), channel
 

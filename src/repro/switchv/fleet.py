@@ -5,12 +5,11 @@ behavioural faults × transport profiles × stack kinds — every night (§6,
 Tables 1–2), but :func:`repro.switchv.campaign.run_full_campaign` executes
 it strictly sequentially.  Each catalogue entry is an independent,
 fully-seeded campaign against its own freshly-built stack, which makes the
-catalogue embarrassingly parallel, exactly like the per-goal solver
-cascades in :mod:`repro.symbolic.parallel`.  This module shards the task
-list round-robin across ``workers`` forked processes and merges the
-per-worker ledgers deterministically.
+catalogue embarrassingly parallel.  This module shards the task list
+round-robin across ``workers`` forked processes and merges the per-worker
+ledgers deterministically.
 
-Robustness contract (mirroring ``repro.symbolic.parallel``):
+Robustness contract:
 
 * ``workers=1`` (or a single task, or a platform without the ``fork``
   start method) never builds a pool — the tasks run in-process on the

@@ -80,7 +80,6 @@ class DataPlaneStats:
     cnf_vars: int = 0
     cnf_clauses: int = 0
     gates_shared: int = 0
-    workers: int = 1
 
 
 @dataclass
@@ -106,13 +105,11 @@ class SwitchVHarness:
         valid_ports: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
         cache: Optional[PacketCache] = None,
         simulator_faults=None,
-        workers: int = 1,
         fault_profile=None,
         retry_policy=None,
         lint_model: bool = False,
         pipeline_depth: int = 1,
         solver_pool: Optional[SolverPool] = None,
-        coverage_guided: bool = False,
     ) -> None:
         self.model = model
         # Fail-fast gate: lint the model before anything derives from it.
@@ -143,15 +140,9 @@ class SwitchVHarness:
         )
         self.valid_ports = tuple(valid_ports)
         self.cache = cache
-        # Goal-solving parallelism for packet generation (1 = sequential).
-        self.workers = max(1, workers)
         # Fuzz campaigns keep up to this many independent batches in
         # flight (repro.fuzzer.pipeline); 1 = the sequential loop.
         self.pipeline_depth = max(1, pipeline_depth)
-        # Greybox feedback for fuzz campaigns (repro.fuzzer.feedback):
-        # coverage-score every judged batch against the model and bias
-        # generation toward uncovered regions.
-        self.coverage_guided = coverage_guided
         # Fault registry consulted by the BMv2 simulator only (the paper
         # found simulator bugs too; they surface as mismatches like any
         # other divergence).
@@ -215,17 +206,7 @@ class SwitchVHarness:
             import dataclasses
 
             config = dataclasses.replace(config, pipeline_depth=self.pipeline_depth)
-        if self.coverage_guided and not config.coverage_guided:
-            import dataclasses
-
-            config = dataclasses.replace(config, coverage_guided=True)
-        fuzzer = P4Fuzzer(
-            self.p4info,
-            self.switch,
-            config,
-            solver_pool=self.solver_pool,
-            model=self.model,
-        )
+        fuzzer = P4Fuzzer(self.p4info, self.switch, config, solver_pool=self.solver_pool)
         result = fuzzer.run()
         report.fuzz = result
         report.incidents.extend(result.incidents)
@@ -512,9 +493,7 @@ class SwitchVHarness:
         # the per-goal layer still recovers every goal whose solved formula
         # is unchanged since an earlier, slightly different state.
         goal_cache = self.cache if cacheable else None
-        result = generator.generate(
-            mode, custom_goals, workers=self.workers, goal_cache=goal_cache
-        )
+        result = generator.generate(mode, custom_goals, goal_cache=goal_cache)
         stats.generation_seconds = time.perf_counter() - start
         stats.goals_total = result.stats.goals_total
         stats.goals_covered = result.stats.goals_covered
@@ -527,7 +506,6 @@ class SwitchVHarness:
         stats.cnf_vars = result.stats.cnf_vars
         stats.cnf_clauses = result.stats.cnf_clauses
         stats.gates_shared = result.stats.gates_shared
-        stats.workers = result.stats.workers
         if key is not None:
             self.cache.store(key, result)
         return result.packets

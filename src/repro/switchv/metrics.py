@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bmv2.entries import EntryDecodeError, decode_table_entry
 from repro.fuzzer import FuzzerConfig, P4Fuzzer
-from repro.fuzzer.feedback import CoverageProgress
 from repro.p4.ast import P4Program
 from repro.p4.p4info import build_p4info
 from repro.p4rt.messages import TableEntry
@@ -214,48 +213,3 @@ def collect_pipeline_throughput(result) -> PipelineThroughput:
         read_backs_coalesced=stats.read_backs_coalesced,
         overlap_saved_s=stats.overlap_saved_s,
     )
-
-
-# ----------------------------------------------------------------------
-# Coverage-feedback progress metrics
-# ----------------------------------------------------------------------
-def collect_coverage_progress(result) -> Optional[CoverageProgress]:
-    """The coverage series a fuzz run recorded, or None when coverage
-    tracking was off.  Takes a :class:`repro.fuzzer.fuzzer.FuzzResult`
-    (duck-typed for symmetry with the other collectors); the samples are
-    (cumulative updates, distinct trace keys covered) pairs — the curve a
-    dashboard plots to show a campaign is still unlocking behaviour."""
-    return getattr(result, "coverage", None)
-
-
-def merge_coverage_progress(
-    progresses: Sequence[Optional[CoverageProgress]],
-) -> Optional[CoverageProgress]:
-    """Fold per-shard coverage series into one fleet-level summary.
-
-    Covered keys union (they are stable across processes — that is the
-    point of the structural goal digest), counters and timings sum, and
-    the sample curve concatenates in the given order with each shard's
-    update axis offset by the totals before it, so the merged curve stays
-    monotone in updates.  Returns None when no shard tracked coverage."""
-    merged: Optional[CoverageProgress] = None
-    offset = 0
-    for progress in progresses:
-        if progress is None:
-            continue
-        if merged is None:
-            merged = CoverageProgress()
-        covered = set(merged.covered_keys)
-        covered.update(progress.covered_keys)
-        merged.covered_keys = sorted(covered)
-        merged.samples.extend(
-            (offset + updates, keys) for updates, keys in progress.samples
-        )
-        offset += progress.samples[-1][0] if progress.samples else 0
-        merged.corpus_size += progress.corpus_size
-        merged.batches_scored += progress.batches_scored
-        merged.batches_skipped += progress.batches_skipped
-        merged.score_seconds += progress.score_seconds
-        for table, gain in progress.table_gains.items():
-            merged.table_gains[table] = merged.table_gains.get(table, 0) + gain
-    return merged

@@ -97,7 +97,7 @@ def render_generation_stats(stats) -> str:
         f" ({stats.goals_from_cache} from cache,"
         f" {getattr(stats, 'goals_subsumed', 0)} subsumed)",
         f"    wall clock:   {stats.generation_seconds:.2f}s"
-        f" ({stats.workers} worker(s){', whole-run cache hit' if stats.cache_hit else ''})",
+        f"{' (whole-run cache hit)' if stats.cache_hit else ''}",
         f"    solver:       {stats.solver_queries} queries,"
         f" {stats.sat_conflicts} conflicts,"
         f" {stats.sat_decisions} decisions,"
@@ -224,41 +224,6 @@ def render_pipeline_stats(result) -> str:
             f" ({stats.overlapped_generation_s:.2f}s generation overlapped)",
         ]
     )
-
-
-def render_coverage_progress(progress) -> str:
-    """Human-facing coverage-feedback summary for one fuzz campaign.
-
-    Takes a :class:`repro.fuzzer.feedback.CoverageProgress` (duck-typed to
-    avoid a circular import) and renders the greybox loop's yield: the
-    coverage curve endpoints, the key-kind breakdown, corpus/scoring
-    effort, and the tables where feedback found the most new behaviour."""
-    kinds = progress.by_kind()
-    breakdown = ", ".join(f"{kinds[k]} {k}" for k in sorted(kinds)) or "none"
-    lines = [
-        "coverage feedback:",
-        f"    trace keys:   {progress.covered} covered ({breakdown})",
-    ]
-    if progress.samples:
-        first_updates, first_keys = progress.samples[0]
-        last_updates, last_keys = progress.samples[-1]
-        lines.append(
-            f"    curve:        {first_keys} keys @ {first_updates} updates"
-            f" -> {last_keys} keys @ {last_updates} updates"
-        )
-    lines.append(
-        f"    scoring:      {progress.batches_scored} batch(es) scored,"
-        f" {progress.batches_skipped} skipped (unchanged state),"
-        f" {progress.score_seconds:.2f}s"
-    )
-    lines.append(f"    corpus:       {progress.corpus_size} coverage-increasing batch(es)")
-    if progress.table_gains:
-        top = sorted(progress.table_gains.items(), key=lambda kv: (-kv[1], kv[0]))[:4]
-        lines.append(
-            "    hot tables:   "
-            + ", ".join(f"{name} (+{gain})" for name, gain in top)
-        )
-    return "\n".join(lines)
 
 
 @dataclass

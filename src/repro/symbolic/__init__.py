@@ -13,7 +13,6 @@ expressions Y, and T, discharged by the QF_BV solver.
 * :mod:`repro.symbolic.executor` — the guarded single-pass executor.
 * :mod:`repro.symbolic.coverage` — coverage goals (entry, branch, custom).
 * :mod:`repro.symbolic.packets` — model → concrete test packet extraction.
-* :mod:`repro.symbolic.parallel` — sharded multi-process goal solving.
 * :mod:`repro.symbolic.cache` — test-packet caching (§6.3 "Caching"),
   whole-run and per-goal.
 """
@@ -21,7 +20,6 @@ expressions Y, and T, discharged by the QF_BV solver.
 from repro.symbolic.coverage import CoverageGoal, CoverageMode, entry_goal_name
 from repro.symbolic.executor import SymbolicExecutor, TraceKey
 from repro.symbolic.packets import GeneratedPacket, GenerationResult, PacketGenerator
-from repro.symbolic.parallel import generate_parallel
 
 __all__ = [
     "CoverageGoal",
@@ -32,5 +30,4 @@ __all__ = [
     "SymbolicExecutor",
     "TraceKey",
     "entry_goal_name",
-    "generate_parallel",
 ]

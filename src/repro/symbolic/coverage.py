@@ -42,10 +42,10 @@ def entry_goal_name(table: str, identity: Tuple) -> str:
     The digest is structural — SHA-256 over the identity's repr (match-key
     names, kinds, values, masks, priority; all primitives with stable
     reprs) — never ``hash()``, which PYTHONHASHSEED randomises per process.
-    Goal names key the on-disk per-goal packet cache and the fuzzer's
-    coverage map, so they must be identical across runs, restarts, and
-    fleet shards.  Both :func:`goals_for_mode` and :func:`entry_goal` build
-    names here so the two can't drift.
+    Goal names key the on-disk per-goal packet cache, so they must be
+    identical across runs, restarts, and processes.  Both
+    :func:`goals_for_mode` and :func:`entry_goal` build names here so the
+    two can't drift.
     """
     digest = hashlib.sha256(repr(identity).encode()).hexdigest()[:8]
     return f"entry:{table}:{digest}"

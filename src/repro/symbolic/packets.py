@@ -56,16 +56,15 @@ class GenerationStats:
     # without touching the solver.
     goals_subsumed: int = 0
     # Canonicalisation: extra assumption checks spent pinning witness
-    # packets to solver-history-independent values (what makes warm-pool,
-    # cold, and per-worker runs byte-identical).
+    # packets to solver-history-independent values (what makes warm-pool
+    # and cold runs byte-identical).
     canonical_checks: int = 0
     # Attempt formulas answered by the SolverPool's solved-formula memo
     # (unchanged since a previous table state) without any SAT work.
     pool_hits: int = 0
     # Aggregate SAT-solver effort behind the queries, summed across every
-    # per-profile solver (and every worker, in parallel runs) — the numbers
-    # that make benchmark regressions attributable to the solver rather
-    # than to orchestration overhead.
+    # per-profile solver — the numbers that make benchmark regressions
+    # attributable to the solver rather than to orchestration overhead.
     sat_conflicts: int = 0
     sat_decisions: int = 0
     sat_propagations: int = 0
@@ -77,25 +76,6 @@ class GenerationStats:
     cnf_vars: int = 0
     cnf_clauses: int = 0
     gates_shared: int = 0
-    # How many worker processes solved goals (1 = sequential).
-    workers: int = 1
-
-    def merge(self, other: "GenerationStats") -> None:
-        """Fold another shard's counters into this one (parallel merge)."""
-        self.goals_total += other.goals_total
-        self.goals_covered += other.goals_covered
-        self.goals_unsatisfiable += other.goals_unsatisfiable
-        self.solver_queries += other.solver_queries
-        self.canonical_checks += other.canonical_checks
-        self.pool_hits += other.pool_hits
-        self.goals_from_cache += other.goals_from_cache
-        self.goals_subsumed += other.goals_subsumed
-        self.sat_conflicts += other.sat_conflicts
-        self.sat_decisions += other.sat_decisions
-        self.sat_propagations += other.sat_propagations
-        self.cnf_vars += other.cnf_vars
-        self.cnf_clauses += other.cnf_clauses
-        self.gates_shared += other.gates_shared
 
 
 @dataclass
@@ -172,25 +152,14 @@ class PacketGenerator:
         self,
         mode: CoverageMode = CoverageMode.ENTRY,
         custom_goals: Sequence[CoverageGoal] = (),
-        workers: int = 1,
         goal_cache=None,
     ) -> GenerationResult:
         """Produce one packet per satisfiable coverage goal.
 
-        ``workers > 1`` shards the goals across that many processes (see
-        :mod:`repro.symbolic.parallel`); ``workers=1`` is the exact
-        sequential path.  ``goal_cache`` (a
-        :class:`repro.symbolic.cache.PacketCache`) enables per-goal
-        memoisation: goals whose solved formula is unchanged since a prior
-        run are answered without touching the solver.
+        ``goal_cache`` (a :class:`repro.symbolic.cache.PacketCache`) enables
+        per-goal memoisation: goals whose solved formula is unchanged since
+        a prior run are answered without touching the solver.
         """
-        if workers > 1:
-            from repro.symbolic.parallel import generate_parallel
-
-            return generate_parallel(
-                self, mode=mode, custom_goals=custom_goals, workers=workers,
-                goal_cache=goal_cache,
-            )
         from repro.symbolic.cache import CachedGoal  # imports this module
 
         start = time.perf_counter()
@@ -379,9 +348,9 @@ class PacketGenerator:
     # ------------------------------------------------------------------
     # A CDCL model is an accident of solver history: phase saving, learned
     # clauses, and activity orders all feed into which satisfying assignment
-    # comes out, so a solver that answered other goals first (or a forked
-    # worker) would emit different — equally valid — packets than a solver
-    # that did not, and a memoised witness would differ from a fresh one.
+    # comes out, so a solver that answered other goals first would emit
+    # different — equally valid — packets than a solver that did not, and
+    # a memoised witness would differ from a fresh one.
     # To keep results byte-identical across solver histories, the model is
     # never used directly.  Instead, every input variable the solved
     # formula mentions is pinned to the first value in a history-independent

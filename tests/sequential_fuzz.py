@@ -6,8 +6,8 @@ loop must be exactly the paper's closed loop (§4.3): generate a wave, pack
 it into batches, and for each batch write it, read the state back, judge,
 adopt.  :class:`SequentialFuzzer` is that loop written out directly, with
 no windows, no scheduler and no footprints, so ``tests/test_pipeline.py``
-and ``tests/test_feedback.py`` can demand the same incident stream,
-counters, final state and modeled transport wait.  Its generator reads the
+can demand the same incident stream, counters, final state and modeled
+transport wait.  Its generator reads the
 oracle's projection in place, as ``P4Fuzzer``'s does.
 """
 
@@ -121,7 +121,6 @@ class SequentialFuzzer(P4Fuzzer):
 
         log = self.oracle.judge_batch(batch, response, read_back)
         result.incidents.extend(log)
-        self._observe_coverage(batch, write_index)
 
     def _resync_oracle(self, result: FuzzResult) -> bool:
         """Read the switch state back and adopt it (§4.3).  Returns False

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.bmv2.entries import EntryDecodeError, decode_table_entry
 from repro.fuzzer import FuzzerConfig, P4Fuzzer, RequestGenerator
 from repro.fuzzer.batching import make_batches, verify_batch_independence
+from repro.fuzzer.generator import GeneratorState
 from repro.fuzzer.mutations import (
     MUST_REJECT,
     MUTATION_NAMES,
@@ -21,7 +22,7 @@ from repro.p4.constraints.evaluator import evaluate_constraint
 from repro.p4rt import codec
 from repro.p4rt.messages import Update, UpdateType, WriteRequest, WriteResponse
 from repro.p4rt.status import Code, Status
-from repro.switch import PinsSwitchStack, ReferenceSwitch
+from repro.switch import FaultRegistry, PinsSwitchStack, ReferenceSwitch
 from repro.workloads import EntryBuilder, baseline_entries
 
 E = codec.encode
@@ -533,3 +534,75 @@ class TestCampaigns:
 
         read = {e.match_key() for e in stack.read(ReadRequest(table_id=0)).entries}
         assert {e.match_key() for e in result.final_entries} == read
+
+
+class TestStatefulMutations:
+    def _insert(self, tor_p4info):
+        b = EntryBuilder(tor_p4info)
+        return Update(UpdateType.INSERT, b.exact("vrf_tbl", {"vrf_id": 9}, "NoAction"))
+
+    def test_duplicate_insert_needs_installed_state(self, tor_p4info):
+        rng = random.Random(3)
+        update = self._insert(tor_p4info)
+        assert apply_mutation("duplicate_insert", rng, tor_p4info, update) is None
+        state = GeneratorState(tor_p4info)
+        assert apply_mutation("duplicate_insert", rng, tor_p4info, update, state=state) is None
+
+    def test_duplicate_insert_reinserts_installed_entry(self, tor_p4info):
+        rng = random.Random(3)
+        b = EntryBuilder(tor_p4info)
+        installed = b.exact("vrf_tbl", {"vrf_id": 1}, "NoAction")
+        state = GeneratorState(tor_p4info)
+        state.install(installed)
+        mutated = apply_mutation(
+            "duplicate_insert", rng, tor_p4info, self._insert(tor_p4info), state=state
+        )
+        assert mutated is not None
+        assert mutated.update.type is UpdateType.INSERT
+        # The duplicate targets what is actually installed, not the fresh
+        # update's (never-installed) key.
+        assert mutated.update.entry.match_key() == installed.match_key()
+
+    def test_delete_nonexistent_avoids_installed_keys(self, tor_p4info):
+        rng = random.Random(3)
+        update = self._insert(tor_p4info)
+        # The key is genuinely uninstalled: deleting it must fail upstream.
+        mutated = apply_mutation("delete_nonexistent", rng, tor_p4info, update)
+        assert mutated is not None
+        assert mutated.update.type is UpdateType.DELETE
+        assert mutated.update.entry.match_key() == update.entry.match_key()
+        # Once that key is installed, the mutation no longer applies.
+        state = GeneratorState(tor_p4info)
+        state.install(update.entry)
+        assert (
+            apply_mutation("delete_nonexistent", rng, tor_p4info, update, state=state)
+            is None
+        )
+
+
+class TestMutationEffectiveness:
+    CONFIG = FuzzerConfig(
+        num_writes=8,
+        updates_per_write=12,
+        seed=5,
+        mutations=["duplicate_insert"],
+        mutation_probability=1.0,
+    )
+
+    def test_duplicate_insert_exercises_already_exists(self, tor_program, tor_p4info):
+        """A healthy switch returns ALREADY_EXISTS for every duplicate and
+        the oracle, expecting exactly that, files zero model incidents."""
+        result = P4Fuzzer(tor_p4info, PinsSwitchStack(tor_program), self.CONFIG).run()
+        assert result.mutation_counts.get("duplicate_insert", 0) > 0
+        assert result.incidents.model_count == 0
+
+    def test_duplicate_insert_detects_wrong_error_fault(self, tor_program, tor_p4info):
+        """The same campaign against the duplicate_entry_wrong_error
+        catalogue fault observes the wrong status and files incidents —
+        the mutation provably drives the spec path it names."""
+        stack = PinsSwitchStack(
+            tor_program, faults=FaultRegistry(["duplicate_entry_wrong_error"])
+        )
+        result = P4Fuzzer(tor_p4info, stack, self.CONFIG).run()
+        assert result.mutation_counts.get("duplicate_insert", 0) > 0
+        assert result.incidents.model_count > 0

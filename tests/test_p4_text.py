@@ -26,6 +26,7 @@ from repro.p4.programs import (
     build_wan_program,
 )
 from repro.workloads import baseline_entries
+from tests.test_behaviors_spec import _hash_program
 
 ALL_BUILDERS = [
     build_toy_program,
@@ -154,6 +155,14 @@ class TestRoundTrip:
         assert refs[1].table_only and not refs[1].default_only
         assert print_program(parsed) == text
 
+    def test_hash_expression_round_trips(self):
+        """No shipped model uses the black-box ``hash<W>(label; fields)``
+        expression (§5), so a hand-built program carries it through."""
+        program = _hash_program()
+        text = print_program(program)
+        assert "hash<16>(ecmp; ipv4.src_addr)" in text
+        assert parse_program(text) == program
+
     def test_structure_survives(self, cerberus_program):
         parsed = parse_program(print_program(cerberus_program))
         assert parsed.role == "Cerberus"
@@ -220,6 +229,13 @@ control t_ingress(inout headers_t h, inout metadata_t m) {
     def test_header_without_suffix_rejected(self):
         with pytest.raises(P4ParseError):
             parse_program("header bad { bit<8> x; }")
+
+    def test_hash_without_label_separator_rejected(self):
+        text = print_program(_hash_program())
+        malformed = text.replace("hash<16>(ecmp; ipv4.src_addr)", "hash<16>(ecmp ipv4.src_addr)")
+        assert malformed != text
+        with pytest.raises(P4ParseError, match="expected ';'"):
+            parse_program(malformed)
 
     def test_truncated_control_parameters_rejected(self):
         source = _shipped_source("toy_router.p4")

@@ -59,9 +59,9 @@ def _findings(path, swallow_allowed):
 
 
 def test_every_source_file_is_checked_and_the_exemptions_exist():
-    assert len(SOURCES) > 80
+    assert len(SOURCES) >= 80
     exempt = _swallow_exempt()
-    assert len(exempt) == 5
+    assert len(exempt) == 4
     assert all((REPO_ROOT / path).is_file() for path in exempt)
 
 

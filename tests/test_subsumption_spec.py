@@ -122,17 +122,6 @@ def test_same_run_with_goals_whose_conditions_are_not_trace_terms(tor_program, t
     assert {"two-tables", "first-table-again"} <= {goal for goal, *_ in got[0]}
 
 
-def test_same_run_through_two_workers(tor_program, tor_p4info, tor80):
-    state = decode_state(tor_p4info, tor80)
-
-    def run():
-        return PacketGenerator(tor_program, state).generate(CoverageMode.ENTRY, workers=2)
-
-    got = _observable(run())
-    assert got == _observable(_by_spec(run))
-    assert got[2] > 0
-
-
 def _first_true_slot(goal, executions, packets):
     """The spec's choice without its every-variable-has-a-value rule."""
     for execution in executions:

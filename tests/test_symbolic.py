@@ -1,6 +1,12 @@
 """Tests for p4-symbolic: executor, coverage, packet soundness, cache."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +20,9 @@ from repro.smt import Result, Solver
 from repro.smt import terms as T
 from repro.symbolic import PacketGenerator, SymbolicExecutor
 from repro.symbolic.cache import PacketCache, cache_key
-from repro.symbolic.coverage import CoverageMode, entry_goal, trace_goal
+from repro.switchv.harness import DataPlaneStats
+from repro.switchv.report import render_generation_stats
+from repro.symbolic.coverage import CoverageMode, entry_goal, entry_goal_name, trace_goal
 from repro.symbolic.profiles import profiles_for_pattern
 from repro.workloads import EntryBuilder, baseline_entries
 
@@ -450,3 +458,117 @@ class TestSubsumptionAndMemoization:
         assert [p.packet.fields for p in first.packets] == [
             p.packet.fields for p in second.packets
         ]
+
+
+class TestEffortStats:
+    def test_solver_effort_is_surfaced(self, tor_program, tor_p4info):
+        from repro.workloads import production_like_entries
+
+        state = decode_state(tor_p4info, production_like_entries(tor_p4info, total=30, seed=2))
+        stats = PacketGenerator(tor_program, state).generate(CoverageMode.ENTRY).stats
+        assert stats.solver_queries > 0
+        assert stats.sat_decisions > 0
+        assert stats.sat_propagations > 0
+        # Conflicts are workload-dependent but this cascade always has some.
+        assert stats.sat_conflicts > 0
+
+    def test_render_generation_stats(self):
+        stats = DataPlaneStats(
+            goals_total=10,
+            goals_covered=8,
+            goals_from_cache=3,
+            generation_seconds=1.5,
+            solver_queries=42,
+            sat_conflicts=7,
+            sat_decisions=100,
+            sat_propagations=5000,
+        )
+        text = render_generation_stats(stats)
+        assert "8/10 covered" in text
+        assert "3 from cache" in text
+        assert "42 queries" in text
+
+
+class TestSubsumptionReporting:
+    def test_render_counts_subsumed_goals(self):
+        stats = DataPlaneStats(
+            goals_total=10,
+            goals_covered=9,
+            goals_from_cache=3,
+            goals_subsumed=2,
+            generation_seconds=0.5,
+        )
+        text = render_generation_stats(stats)
+        assert "2 subsumed" in text
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# What a child process runs to name goals and exercise the per-goal disk
+# cache.  Two invocations differ only in PYTHONHASHSEED; the bug this
+# guards against made both the names and the cache keys process-local.
+_CHILD_SCRIPT = """
+import json, sys
+from repro.bmv2.entries import decode_table_entry
+from repro.p4.p4info import build_p4info
+from repro.p4.programs import build_toy_program
+from repro.symbolic import PacketGenerator
+from repro.symbolic.cache import PacketCache
+from repro.symbolic.coverage import CoverageMode, goals_for_mode
+from repro.workloads import EntryBuilder
+
+program = build_toy_program()
+p4info = build_p4info(program)
+b = EntryBuilder(p4info)
+entries = [
+    b.ternary("pre_ingress_tbl", {}, "set_vrf", {"vrf_id": 1}, priority=1),
+    b.exact("vrf_tbl", {"vrf_id": 1}, "NoAction"),
+    b.lpm("ipv4_tbl", {"vrf_id": 1}, "ipv4_dst", 0x0A000000, 8,
+          "set_nexthop_id", {"nexthop_id": 3}),
+]
+state = {}
+for entry in entries:
+    decoded = decode_table_entry(p4info, entry)
+    state.setdefault(decoded.table_name, []).append(decoded)
+generator = PacketGenerator(program, state)
+goals = [g.name for g in goals_for_mode(generator.executions(), CoverageMode.ENTRY, ())]
+result = generator.generate(CoverageMode.ENTRY, goal_cache=PacketCache(sys.argv[1]))
+print(json.dumps({
+    "goals": goals,
+    "from_cache": result.stats.goals_from_cache,
+    "total": result.stats.goals_total,
+}))
+"""
+
+
+def _run_child(hash_seed: str, cache_dir: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    env["PYTHONHASHSEED"] = hash_seed
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_SCRIPT, str(cache_dir)],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestGoalIdentity:
+    def test_entry_goal_name_is_structural(self):
+        identity = ("ipv4_tbl", (("ipv4_dst", "lpm", 0x0A000000, 0, 8, True),), 0)
+        name = entry_goal_name("ipv4_tbl", identity)
+        digest = hashlib.sha256(repr(identity).encode()).hexdigest()[:8]
+        assert name == f"entry:ipv4_tbl:{digest}"
+        # Stable within the process too, trivially.
+        assert name == entry_goal_name("ipv4_tbl", identity)
+
+    def test_goal_names_and_disk_cache_survive_hash_randomization(self, tmp_path):
+        first = _run_child("1", tmp_path)
+        second = _run_child("2", tmp_path)
+        # Same installed state -> same goal names, whatever hash() does.
+        assert first["goals"] == second["goals"]
+        assert first["total"] > 0
+        # The first process populated the per-goal disk cache cold...
+        assert first["from_cache"] == 0
+        # ...and a *different* process, under a different hash seed,
+        # answers every goal from it.
+        assert second["from_cache"] == second["total"]
