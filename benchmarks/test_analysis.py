@@ -51,46 +51,3 @@ def test_analyzer_wall_time_smoke():
         rows,
     )
 
-
-def test_pooled_solver_warm_vs_cold():
-    """The SolverPool port: a warm re-lint (pool already primed by the
-    first pass over the same programs) plus the full cross-program
-    contract suite must not exceed the cold semantic-only lint time.
-
-    This is the acceptance bar for moving ``_profile_solver`` and
-    ``_ReachChecker`` onto assumption-based pooled solvers: keyed solver
-    reuse has to pay for the contract layer it enables.
-    """
-    import time
-
-    from repro.analysis import analyze_contract, reset_analysis_pool
-
-    programs = [(name, build()) for name, build in PROGRAMS]
-
-    reset_analysis_pool()
-    cold_start = time.perf_counter()
-    for _name, program in programs:
-        report = analyze_program(program)
-        assert report.semantic_ran
-    cold = time.perf_counter() - cold_start
-
-    warm_start = time.perf_counter()
-    for _name, program in programs:
-        analyze_program(program)
-    contract = analyze_contract([program for _name, program in programs])
-    warm = time.perf_counter() - warm_start
-    assert not contract.diagnostics
-
-    print_table(
-        "Pooled-solver lint wall-time (s)",
-        ("pass", "seconds"),
-        [
-            ("cold semantic lint (4 programs)", f"{cold:.2f}"),
-            ("warm re-lint + contract (6 pairs)", f"{warm:.2f}"),
-            ("contract alone", f"{contract.semantic_seconds:.2f}"),
-        ],
-    )
-    # Generous bound: timers under CI load are noisy, but a warm re-lint
-    # plus the whole contract suite beating a cold lint outright is the
-    # signal that pooled solvers are actually being reused.
-    assert warm < cold * 1.5
