@@ -7,9 +7,10 @@ One CNF pipeline, judged against ground truth instead of a sibling:
   ``tests/treewalk_eval.py`` tree walk, and each uncovered goal is re-posed
   per profile on a fresh proof-logging solver whose UNSAT :mod:`tests.rup`
   replays;
-* *warmth independence* — a warm :class:`SolverPool` and private cold
-  solvers yield byte-identical packets, uncovered goals, incidents and
-  fuzzer request streams: every artifact is a pure function of the formula.
+* *warmth independence* — a warm :class:`SolverPool` formula memo and
+  fresh solvers yield byte-identical packets, uncovered goals, incidents
+  and fuzzer request streams: every artifact is a pure function of the
+  formula.
 
 (Test ids predate the second pipeline's deletion; kept so the floor stays put.)
 """
@@ -143,20 +144,23 @@ def test_packet_generation_identity_across_states(tor_program, tor_p4info):
 @pytest.mark.parametrize("model", ["toy", "tor"])
 def test_data_plane_incident_identity(model, request):
     """End-to-end harness runs against the fault-free reference switch
-    report zero incidents, cold and again on the then-warm pool (injected
-    via ``solver_pool=``)."""
+    report zero incidents, cold and again on the same harness, whose
+    formula memo is then warm."""
     program = request.getfixturevalue(f"{model}_program")
     p4info = request.getfixturevalue(f"{model}_p4info")
     entries = _entries_for(model, p4info)
-    pool = SolverPool()
-    outcomes = []
+    harness = SwitchVHarness(program, ReferenceSwitch(program))
+    outcomes, queries = [], []
     for _ in range(2):
-        harness = SwitchVHarness(program, ReferenceSwitch(program), solver_pool=pool)
+        harness.clear_switch()
         report = harness.validate_data_plane(entries)
         stats = report.data_plane
         assert _incident_tuples(report.incidents) == []
         outcomes.append((stats.goals_total, stats.goals_covered, stats.packets_tested))
+        queries.append(stats.solver_queries)
     assert outcomes[0] == outcomes[1] and outcomes[0][2] > 0
+    # The memo answers every goal of the second run.
+    assert queries[0] > 0 and queries[1] == 0
 
 
 @pytest.fixture(scope="module")
