@@ -34,8 +34,6 @@ from repro.analysis.contract import CONTRACT_PASS_NAMES, analyze_contract
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.analysis.semantic import (
     SEMANTIC_PASS_NAMES,
-    analysis_pool,
-    reset_analysis_pool,
     run_semantic_passes,
 )
 from repro.analysis.structural import (
@@ -122,11 +120,9 @@ __all__ = [
     "STRUCTURAL_PASSES",
     "STRUCTURAL_PASS_NAMES",
     "Severity",
-    "analysis_pool",
     "analyze_contract",
     "analyze_program",
     "list_passes",
-    "reset_analysis_pool",
     "run_semantic_passes",
     "run_structural_passes",
 ]

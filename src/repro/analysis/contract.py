@@ -38,7 +38,6 @@ specification the shared controller assumes.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
@@ -51,7 +50,7 @@ from repro.p4.constraints.lang import (
 )
 from repro.p4.constraints.symbolic import SymbolicKeySet, encode_constraint
 from repro.p4.p4info import ActionInfo, P4Info, TableInfo, build_p4info
-from repro.smt import Result
+from repro.smt import Result, Solver
 from repro.smt import terms as T
 from repro.analysis.diagnostics import (
     AnalysisReport,
@@ -63,7 +62,6 @@ from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
 )
-from repro.analysis.semantic import analysis_pool
 from repro.analysis.witness import (
     KIND_ENTRY,
     Witness,
@@ -319,19 +317,6 @@ def _align_refs(
 # ----------------------------------------------------------------------
 
 
-def _shape_digest(table: TableInfo) -> str:
-    raw = repr(
-        (
-            table.name,
-            tuple(
-                (m.name, m.match_type.value, m.bitwidth)
-                for m in table.match_fields
-            ),
-        )
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-
 def _encode_restriction(
     table: TableInfo, text: Optional[str], keys: SymbolicKeySet
 ) -> Optional[T.Term]:
@@ -366,7 +351,7 @@ def _check_restriction_compat(
     rb = _encode_restriction(tb, tb.entry_restriction, keys)
     if ra is None or rb is None:
         return []
-    solver = analysis_pool().solver(("contract", _shape_digest(ta)))
+    solver = Solver()
     out: List[Diagnostic] = []
     directions = (
         (role_a, role_b, ra, rb),

@@ -25,19 +25,19 @@ Header validity is concrete per parser profile (§5's "semi-hardcoded"
 parser patterns), so ``IsValid`` folds to TRUE/FALSE and reads of header
 fields are checked against the profile that leaves the header unparsed.
 
-Solving is pooled: every pass queries long-lived per-(program digest,
-profile, mode) solvers from a module-level
-:class:`repro.smt.pool.SolverPool` through assumption-based
-``Solver.check(*assumptions)`` — nothing query-specific is ever asserted
-permanently, so semantic, reachability, contract, and witness queries all
-share bit-blasting caches and learned clauses.  Verdicts and witnesses
-are pure functions of the formulas (never of pool warmth), so a warm
-pool only changes wall time.
+Solvers live for one run of the passes.  Each profile walk gets one, with
+the profile's exclusion constraints asserted, for its reach queries; one
+assumption-only witness solver answers the restriction and witness
+queries.  Query-specific terms flow in through
+``Solver.check(*assumptions)``, so the queries of one run share
+bit-blasting caches and learned clauses.  Nothing outlives the run, so a
+repeated lint costs what the first did, and no process-wide state can
+leak from one program's analysis into another's.  Verdicts and witnesses
+are pure functions of the formulas, never of solver history.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -68,7 +68,6 @@ from repro.p4.p4info import P4Info, build_p4info
 from repro.smt import Result, Solver
 from repro.smt import terms as T
 from repro.smt.compile import compile_term
-from repro.smt.pool import SolverPool
 from repro.symbolic.profiles import ParserProfile, profiles_for_pattern
 from repro.analysis.diagnostics import (
     ACTION_NEVER_FIRES,
@@ -98,53 +97,6 @@ SEMANTIC_PASS_NAMES = (
     "action-reach",
     "invalid-reads",
 )
-
-# ----------------------------------------------------------------------
-# The analysis solver pool
-# ----------------------------------------------------------------------
-
-# One process-wide pool shared by the semantic, reachability, and contract
-# passes.  Keys embed a structural program digest, so two different
-# programs (even with the same name, e.g. test programs all called
-# "synthetic") can never poison each other's solvers; only the
-# profile-exclusion constraints are asserted permanently, every
-# query-specific term flows through ``check(*assumptions)``.
-_POOL = SolverPool()
-
-
-def analysis_pool() -> SolverPool:
-    """The module-level pool (exposed for stats and benchmarks)."""
-    return _POOL
-
-
-def reset_analysis_pool() -> None:
-    """Drop every pooled solver (tests and cold-start benchmarks)."""
-    _POOL.clear()
-
-
-def _program_digest(program: P4Program) -> str:
-    """A structural digest keying pooled solvers.
-
-    Covers everything that determines the walker's variable namespace and
-    widths: the name, the parser pattern, every field path and width, and
-    the full control structure (dataclass reprs are deterministic and
-    address-free).  Programs with equal digests produce identical
-    constraint encodings, so sharing a solver between them is sound.
-    """
-    paths = tuple(
-        sorted((p, program.field_width(p)) for p in program.all_field_paths())
-    )
-    raw = repr(
-        (
-            program.name,
-            program.parser.pattern,
-            paths,
-            repr(program.ingress),
-            repr(program.egress),
-        )
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
 
 @dataclass
 class _ProfileRun:
@@ -371,22 +323,6 @@ def _walk_all(
     return [_Walker(program, p, havoc_entry).walk() for p in profiles]
 
 
-def _profile_solver(run: _ProfileRun, digest: str, mode: str) -> Solver:
-    """The pooled solver for one (program, profile, mode).
-
-    Only the profile's exclusion constraints are asserted permanently —
-    they are state-independent and identical (hash-consed) across repeated
-    analyses of the same program, so a warm pool asserts nothing and every
-    reach query reuses the existing encoding and learned clauses.
-    """
-    return _POOL.solver(("analysis", digest, mode, run.profile.name), run.constraints)
-
-
-def _witness_solver(digest: str) -> Solver:
-    """The pooled assumption-only solver for witness/restriction queries."""
-    return _POOL.solver(("analysis", digest, "witness"))
-
-
 class _ReachChecker:
     """SAT oracle for reach queries under one profile run's constraints.
 
@@ -407,9 +343,12 @@ class _ReachChecker:
 
     _MAX_WITNESSES = 8
 
-    def __init__(self, run: _ProfileRun, solver: Solver) -> None:
+    def __init__(self, run: _ProfileRun) -> None:
         self.run = run
-        self.solver = solver
+        # The walk's own solver: its exclusion constraints are asserted
+        # once, every reach query rides on them as assumptions.
+        self.solver = Solver()
+        self.solver.add(*run.constraints)
         self._witnesses: List[Dict[str, int]] = []
         self.cache_hits = 0
 
@@ -486,7 +425,7 @@ def _restriction_core_witness(table: Table, info: P4Info, solver: Solver, note: 
 def check_restriction_sat(
     program: P4Program,
     info: P4Info,
-    digest: str,
+    solver: Solver,
     witnesses: bool = False,
 ) -> Tuple[List[Diagnostic], Set[str]]:
     """Tables whose @entry_restriction admits no well-formed entry at all.
@@ -505,7 +444,6 @@ def check_restriction_sat(
         if encoded is None:
             continue
         keys, constraint, conjuncts = encoded
-        solver = _witness_solver(digest)
         if solver.check(keys.wellformedness(), constraint) is Result.UNSAT:
             unsat.add(table.name)
             witness = None
@@ -599,7 +537,7 @@ def check_dead_tables(
 def check_table_hits(
     program: P4Program,
     info: P4Info,
-    digest: str,
+    solver: Solver,
     runs: List[_ProfileRun],
     checkers: List[_ReachChecker],
     skip: Set[str],
@@ -653,7 +591,7 @@ def check_table_hits(
                 if reach_arms:
                     fixed.append(T.or_(*reach_arms))
                 witness = unsat_core_witness(
-                    _witness_solver(digest),
+                    solver,
                     fixed,
                     conjuncts,
                     note=(
@@ -688,7 +626,7 @@ def check_table_hits(
 def check_action_reach(
     program: P4Program,
     info: P4Info,
-    digest: str,
+    solver: Solver,
     unsat_restrictions: Set[str],
     never_hits: Set[str],
     witnesses: bool,
@@ -766,7 +704,7 @@ def check_action_reach(
                 witness = _restriction_core_witness(
                     tables[cause],
                     info,
-                    _witness_solver(digest),
+                    solver,
                     note=f"entries naming this action need a live entry in "
                     f"table {cause}, whose restriction admits none",
                 )
@@ -866,8 +804,9 @@ def run_semantic_passes(
         ], summary
 
     passes = set(SEMANTIC_PASS_NAMES if selected is None else selected)
-    digest = _program_digest(program)
     info = build_p4info(program)
+    # Assumption-only: restriction and witness queries assert nothing.
+    witness_solver = Solver()
     out: List[Diagnostic] = []
     checkers: List[_ReachChecker] = []
 
@@ -876,7 +815,7 @@ def run_semantic_passes(
     unsat_restrictions: Set[str] = set()
     if passes & {"restriction-sat", "table-hits", "action-reach"}:
         diags, unsat_restrictions = check_restriction_sat(
-            program, info, digest, witnesses=witnesses
+            program, info, witness_solver, witnesses=witnesses
         )
         if "restriction-sat" in passes:
             out.extend(diags)
@@ -884,9 +823,7 @@ def run_semantic_passes(
     never_hits: Set[str] = set()
     if passes & {"dead-branches", "dead-tables", "table-hits", "action-reach"}:
         havoc_runs = _walk_all(program, profiles, havoc_entry=True)
-        havoc_checkers = [
-            _ReachChecker(r, _profile_solver(r, digest, "havoc")) for r in havoc_runs
-        ]
+        havoc_checkers = [_ReachChecker(r) for r in havoc_runs]
         checkers.extend(havoc_checkers)
         if "dead-branches" in passes:
             out.extend(check_dead_branches(havoc_runs, havoc_checkers))
@@ -896,7 +833,7 @@ def run_semantic_passes(
             hit_diags, never_hits = check_table_hits(
                 program,
                 info,
-                digest,
+                witness_solver,
                 havoc_runs,
                 havoc_checkers,
                 unsat_restrictions,
@@ -909,7 +846,7 @@ def run_semantic_passes(
                 check_action_reach(
                     program,
                     info,
-                    digest,
+                    witness_solver,
                     unsat_restrictions,
                     never_hits,
                     witnesses,
@@ -919,9 +856,7 @@ def run_semantic_passes(
 
     if "invalid-reads" in passes:
         zero_runs = _walk_all(program, profiles, havoc_entry=False)
-        zero_checkers = [
-            _ReachChecker(r, _profile_solver(r, digest, "zero")) for r in zero_runs
-        ]
+        zero_checkers = [_ReachChecker(r) for r in zero_runs]
         checkers.extend(zero_checkers)
         out.extend(check_invalid_reads(zero_runs, zero_checkers, witnesses=witnesses))
 

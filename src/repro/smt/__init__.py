@@ -26,8 +26,10 @@ bit-blast → SAT, with no alternative encoder or kernel to select:
   prefilters).
 * :mod:`repro.smt.minmodel` — lexicographically minimal (canonical) model
   extraction, shared by witness minimization and fuzzer model sampling.
-* :mod:`repro.smt.pool` — keyed long-lived solvers reused across table
-  states, the cross-state incremental-solving backbone of the harness.
+* :mod:`repro.smt.pool` — the cross-state memo of solved formulas'
+  canonical witnesses (and of the fuzzer's sampled models) that the
+  harness keeps across table states.  Solvers themselves never outlive
+  the table state, or the analysis run, they were built for.
 """
 
 import sys as _sys

@@ -42,7 +42,8 @@ class StructuralBitBlaster:
     """Clause-economical encoder: folding, hashing, Plaisted–Greenbaum.
 
     Public surface, as used by :class:`repro.smt.solver.Solver`:
-    ``assert_term`` / ``literal_for`` / ``variable_bits``.
+    ``assert_term`` / ``encode_bool`` (assumption literals) /
+    ``variable_bits``.
 
     Soundness of the polarity bookkeeping: the emitted clause set always
     lies between the Plaisted–Greenbaum subset required by each gate's
@@ -50,9 +51,13 @@ class StructuralBitBlaster:
     range is equisatisfiable with the original formula — a model of the
     original extends to the full Tseitin valuation, which satisfies every
     definitional clause; an unsatisfiable original already makes the PG
-    subset unsatisfiable.  That is also why ``literal_for`` may make its
-    root gate bidirectional (for SolverPool activation semantics) without
-    re-encoding the subtree: extra directions are always safe to add.
+    subset unsatisfiable.
+
+    Assumption literals are encoded ``POS`` only, like asserted roots: a
+    check only ever requires its assumption literal *true*.  A complement
+    is asked as ``T.not_(a)``, a different term whose ``POS`` encoding is
+    ``a``'s ``NEG`` one, so the polarity masks emit the missing direction
+    exactly when a caller needs it.
 
     Gate sharing is polarity-correct by construction: a cached gate records
     the directions already emitted (a ``[lit, emitted-mask]`` entry); a
@@ -86,43 +91,9 @@ class StructuralBitBlaster:
         lit = self.encode_bool(term, POS)
         self.sat.add_clause([lit])
 
-    def literal_for(self, term: T.Term) -> int:
-        """SAT literal equivalent to the boolean term (for assumptions).
-
-        The DAG below is encoded positively (assumption literals are only
-        ever required *true*), but the root gate itself gets both
-        directions: SolverPool treats these literals as activation
-        switches, and the upward clauses let the solver derive the root
-        when its inputs hold.
-        """
-        lit = self.encode_bool(term, POS)
-        self._root_bidirectional(term)
-        return lit
-
     def variable_bits(self, name: str) -> List[int] | None:
         """SAT variables backing a bitvector variable, LSB first."""
         return self._var_bits.get(name)
-
-    def _root_bidirectional(self, term: T.Term) -> None:
-        """Emit the missing direction of ``term``'s top gate only.
-
-        Children stay at the polarity they were encoded with; referencing
-        their literals in one extra root clause is sound (see class
-        docstring).  AND/OR/NOT cover the assumption hot path (goal
-        conditions are conjunctions); rarer root shapes fall back to a
-        full bidirectional encode of that subtree.
-        """
-        op = term.op
-        if op in (T.OP_CONST, T.OP_VAR):
-            return
-        if op == T.OP_NOT:
-            self._root_bidirectional(term.args[0])
-        elif op == T.OP_AND:
-            self._and_lits([self.encode_bool(a, POS) for a in term.args], BOTH)
-        elif op == T.OP_OR:
-            self._or_lits([self.encode_bool(a, POS) for a in term.args], BOTH)
-        else:
-            self.encode_bool(term, BOTH)
 
     # ------------------------------------------------------------------
     # Literal-layer primitives: constant folding + structural hashing

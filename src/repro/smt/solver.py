@@ -14,7 +14,7 @@ import enum
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.smt import terms as T
-from repro.smt.bitblast import StructuralBitBlaster
+from repro.smt.bitblast import POS, StructuralBitBlaster
 from repro.smt.compile import evaluate_compiled
 from repro.smt.sat import SatSolver
 from repro.smt.simplify import simplify
@@ -135,7 +135,7 @@ class Solver:
             if a not in self._seen_assumptions:  # sorts are recorded once
                 self._seen_assumptions.add(a)
                 self._var_sorts.update(T.free_variables(a))
-            lit = self._blaster.literal_for(a)
+            lit = self._blaster.encode_bool(a, POS)
             assumption_lits.append(lit)
             terms.setdefault(lit, term)
         sat = self._sat.solve(assumption_lits)
@@ -149,10 +149,10 @@ class Solver:
 
         ``names`` restricts extraction to those variables (unknown names are
         skipped, matching the "absent from the formula ⇒ absent from the
-        model" contract).  Long-lived pooled solvers accumulate variables
-        across many table states, so extracting only the variables a caller
-        actually reads keeps model cost proportional to the query, not to
-        the solver's lifetime.
+        model" contract).  A solver accumulates the variables of every
+        query it has answered (one profile solver serves hundreds of goals),
+        so extracting only the variables a caller actually reads keeps
+        model cost proportional to the query, not to the solver's lifetime.
         """
         if self._last_result is not Result.SAT:
             raise RuntimeError("model() requires a preceding SAT check()")

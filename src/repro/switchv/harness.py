@@ -109,7 +109,6 @@ class SwitchVHarness:
         retry_policy=None,
         lint_model: bool = False,
         pipeline_depth: int = 1,
-        solver_pool: Optional[SolverPool] = None,
     ) -> None:
         self.model = model
         # Fail-fast gate: lint the model before anything derives from it.
@@ -154,7 +153,7 @@ class SwitchVHarness:
         # solvers built for that state.  Witness packets are canonical
         # (solver-history-independent), so memoised answers are
         # byte-identical to fresh ones.
-        self.solver_pool = solver_pool if solver_pool is not None else SolverPool()
+        self.solver_pool = SolverPool()
 
     def _lint_gate(self, report: ValidationReport) -> bool:
         """True when the model failed the lint gate (campaign must not run).

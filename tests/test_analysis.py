@@ -605,10 +605,9 @@ class TestWitnesses:
 class TestReachCache:
     def _checker(self):
         from repro.analysis.semantic import _ProfileRun, _ReachChecker
-        from repro.smt import Solver
 
         run = _ProfileRun(profile=None, constraints=[])
-        return _ReachChecker(run, Solver())
+        return _ReachChecker(run)
 
     def test_cache_hit_skips_the_solver(self):
         from repro.smt import terms as T
