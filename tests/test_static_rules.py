@@ -2,7 +2,9 @@
 installed where tier-1 runs, so ``pyproject.toml``'s selection went
 unchecked): no unused import, no bare ``except``, and no ``try/except/pass``
 outside the files ``pyproject.toml`` exempts — a swallowed error in the
-oracle or harness suppresses incidents with no signal.
+oracle or harness suppresses incidents with no signal.  One rule of the
+project's own: no ``Solver`` or ``SolverPool`` is built at import time, so
+no solver outlives the run that built it.
 """
 
 import ast
@@ -44,10 +46,34 @@ def _unused_imports(tree, source):
     return [(line, f"unused import {name}") for name, line in bound.items() if name not in read]
 
 
+def _import_time_solvers(tree):
+    """``Solver`` / ``SolverPool`` constructions that run at import time: at
+    module level, in a class body, or in a default argument.  A solver
+    built there is process-wide state that every caller shares and no
+    caller resets."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # The body runs per call; the defaults and decorators do not.
+            stack.extend(node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
+            stack.extend(getattr(node, "decorator_list", ()))
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("Solver", "SolverPool"):
+                found.append((node.lineno, f"import-time {name}()"))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def _findings(path, swallow_allowed):
     text = path.read_text()
     tree = ast.parse(text, filename=str(path))
     found = [] if path.name == "__init__.py" else _unused_imports(tree, text.splitlines())
+    found += _import_time_solvers(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.ExceptHandler):
             continue
@@ -82,6 +108,12 @@ def test_src_obeys_the_static_rules():
         ("from typing import List, Dict\nx: List[int] = []\n", "unused import Dict"),
         ("try:\n    pass\nexcept:\n    raise\n", "bare except"),
         ("try:\n    pass\nexcept KeyError:\n    pass\n", "try/except/pass swallows the error"),
+        ("from repro.smt import SolverPool\n_POOL = SolverPool()\n", "import-time SolverPool()"),
+        ("import repro.smt as smt\nclass C:\n    solver = smt.Solver()\n", "import-time Solver()"),
+        (
+            "from repro.smt import Solver\ndef f(s=Solver()):\n    return s\n",
+            "import-time Solver()",
+        ),
     ],
 )
 def test_the_checker_sees_what_it_claims_to(tmp_path, snippet, expected):
@@ -89,5 +121,8 @@ def test_the_checker_sees_what_it_claims_to(tmp_path, snippet, expected):
     path.write_text(snippet)
     assert [what for _line, what in _findings(path, swallow_allowed=False)] == [expected]
     clean = tmp_path / "clean.py"
-    clean.write_text('import os\nfrom typing import List\nx: "List[int]" = [os.sep]\n')
+    clean.write_text(
+        'import os\nfrom typing import List\nx: "List[int]" = [os.sep]\n'
+        "from repro.smt import Solver\ndef fresh():\n    return Solver()\n"
+    )
     assert _findings(clean, swallow_allowed=False) == []
