@@ -158,6 +158,8 @@ class SatSolver:
         # The previous solve()'s assumptions: levels 1..len(_assumed) of
         # whatever trail is left are their pseudo-decisions, in order.
         self._assumed: List[int] = []
+        # The next search's preferred literals (see solve()).
+        self._phases: Sequence[int] = ()
         # Test-facing proof sink: an attached list receives, in order,
         # ("a", lits) for every clause offered to add_clause, ("l", lits)
         # for every learned clause after minimisation (units and binaries
@@ -596,7 +598,7 @@ class SatSolver:
     # ------------------------------------------------------------------
     # Main solve loop
     # ------------------------------------------------------------------
-    def solve(self, assumptions: Iterable[int] = ()) -> bool:
+    def solve(self, assumptions: Iterable[int] = (), phases: Sequence[int] = ()) -> bool:
         """Solve the formula under ``assumptions`` (a list of literals).
 
         Returns True (SAT — read the model via :meth:`model_value`) or
@@ -604,9 +606,12 @@ class SatSolver:
         holds the single assumption literal whose negation the clauses and
         the assumptions listed before it imply, or nothing when no
         assumption was involved).  List what successive calls share first:
-        the common prefix of two lists is not propagated again.
+        the common prefix of two lists is not propagated again.  Each of
+        ``phases`` becomes its variable's saved phase, so a decision on it
+        tries that literal first; the verdict does not depend on them.
         """
         assumptions = list(assumptions)
+        self._phases = phases
         sat = self._search(assumptions)
         if not sat and self.proof is not None:
             self.proof.append(("u", tuple(assumptions)))
@@ -624,6 +629,8 @@ class SatSolver:
             keep += 1
         self._cancel_until(keep)
         self._assumed = assumptions
+        for lit in self._phases:  # after the backtrack, whose phase saving overwrites
+            self._polarity[lit >> 1] = not (lit & 1)
 
         restart_count = 0
         conflict_budget = 100 * _luby(restart_count + 1)

@@ -113,13 +113,14 @@ class Solver:
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def check(self, *assumptions: T.Term) -> Result:
+    def check(self, *assumptions: T.Term, prefer: Optional[Mapping[str, int]] = None) -> Result:
         """Check satisfiability of the assertions, under optional assumptions.
 
         Assumption terms are encoded (and cached) but not permanently
         asserted, so successive checks with different assumptions reuse the
         same encoding.  After UNSAT, :attr:`failed_assumption` names the
-        assumption that made it so.
+        assumption that made it so.  ``prefer`` (name -> value) is tried first
+        where the search decides an encoded variable's bits; no verdict moves.
         """
         assumption_lits, terms = [], {}
         for term in assumptions:
@@ -138,7 +139,12 @@ class Solver:
             lit = self._blaster.encode_bool(a, POS)
             assumption_lits.append(lit)
             terms.setdefault(lit, term)
-        sat = self._sat.solve(assumption_lits)
+        phases = [
+            lit if (value >> i) & 1 else lit ^ 1
+            for name, value in (prefer or {}).items()
+            for i, lit in enumerate(self._blaster.variable_bits(name) or ())
+        ]
+        sat = self._sat.solve(assumption_lits, phases)
         failed = self._sat.failed_assumptions
         self.failed_assumption = terms[failed[0]] if failed else None
         self._last_result = Result.SAT if sat else Result.UNSAT

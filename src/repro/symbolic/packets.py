@@ -5,7 +5,7 @@ once), then discharges every coverage goal as an *assumption* query against
 the appropriate solver — the incremental usage pattern the SMT layer is
 designed for.  A satisfying model is turned into a concrete packet: pinned
 parser fields take their pinned values, solved fields take model values,
-everything else defaults to zero.
+everything else takes a background value.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ class PacketGenerator:
         # are asserted: stats report only the work the goals caused.
         self._effort_base: Dict[str, tuple] = {}
         self._constraint_digests: Dict[str, str] = {}
-        # Background/soft-dst refinements memoised per
-        # (profile, constrained-variable-set) — goals over the same table
-        # constrain the same variables, so the conjunctions rebuild once.
-        self._refinement_cache: Dict[tuple, tuple] = {}
+        # Soft-dst refinements memoised per (profile, constrained-variable-
+        # set) — goals over the same table constrain the same variables.
+        self._refinement_cache: Dict[tuple, T.Term] = {}
         # Subsumption: one evaluation program per parser profile, holding
         # every goal condition asked about as a root, and per packet object
         # (keyed by identity; the entry holds the packet, so its id cannot be
@@ -290,20 +289,23 @@ class PacketGenerator:
             # space even when the goal constrains it loosely (e.g. an ACL
             # guard's negations) — divergences on *forwarded* packets are
             # observable, dropped ones often are not.
-            background, soft_dst = self._refinements(execution, condition)
+            soft_dst = self._refinements(execution, condition)
+            # Every check prefers the canonical witness's first choices, so
+            # the witness can usually be read off the model.
+            prefer = self._first_choices(execution, condition)
             # Each attempt lists what it shares with the next one first: the
             # SAT kernel keeps the propagated levels of a common assumption
-            # prefix from one check to the next.
+            # prefix from one check to the next.  Fields no formula mentions
+            # are not asked about: the packet takes their background values.
             attempts = [
                 # Canonical forwarding context: the first valid port (whose
                 # VRF owns the background route space) plus a routable
                 # destination — maximises the observability of divergences.
-                (condition, background, port_term.eq(self.valid_ports[0]), soft_dst),
+                (condition, port_term.eq(self.valid_ports[0]), soft_dst),
                 # Same context for goals that pin the destination themselves.
-                (condition, background, port_term.eq(self.valid_ports[0])),
+                (condition, port_term.eq(self.valid_ports[0])),
                 # Port rotation for port-qualified behaviour.
-                (condition, background, port_term.eq(preferred_port)),
-                (condition, background),
+                (condition, port_term.eq(preferred_port)),
                 (condition,),
             ]
             refuted: List[tuple] = []  # assumption prefixes proved UNSAT
@@ -326,9 +328,9 @@ class PacketGenerator:
                         return self._packet_from_model(goal, execution, cached)
                 if not any(assumptions[: len(p)] == p for p in refuted):
                     stats.solver_queries += 1
-                    if solver.check(*assumptions) is Result.SAT:
+                    if solver.check(*assumptions, prefer=prefer) is Result.SAT:
                         witness = self._canonical_witness(
-                            solver, execution, assumptions, stats
+                            solver, execution, assumptions, prefer, stats
                         )
                         if key is not None:
                             self._pool.store_formula(key, witness)
@@ -362,28 +364,25 @@ class PacketGenerator:
     # compiled-evaluation fast path: if completing the candidate with the
     # current model already satisfies the formula concretely, it is a
     # witness and the solver call is skipped (the verdict would have been
-    # SAT either way, so the shortcut never changes the outcome).
+    # SAT either way, so the shortcut never changes the outcome).  The
+    # check that found the model preferred every first choice, and a model
+    # that took them all is read off with no compilation at all.
 
     def _canonical_witness(
-        self, solver: Solver, execution: ProfileExecution, assumptions, stats
+        self, solver: Solver, execution: ProfileExecution, assumptions, prefer, stats
     ) -> Dict[str, int]:
-        inputs_by_name: Dict[str, tuple] = {}
-        for path, term in execution.inputs.items():
-            if not term.is_const:
-                inputs_by_name[term.name] = (path, term)
-        formula = T.and_(*execution.constraints, *assumptions)
-        compiled = compile_term(formula)
+        inputs_by_name = self._inputs_by_name(execution)
         pinned, hints = self._structural_pins(assumptions, inputs_by_name)
-        targets = sorted(
-            name
-            for name in compiled.variables
-            if name in inputs_by_name and name not in pinned
-        )
         witness: Dict[str, int] = {
             name: value for name, value in pinned.items() if name in inputs_by_name
         }
-        if not targets:
+        # The targets — every input the formula mentions that the
+        # assumptions leave open, in name order — with their first choices.
+        first_choice = {name: value for name, value in prefer.items() if name not in pinned}
+        if self._took_first_choices(solver.model(first_choice), first_choice):
+            witness.update(first_choice)  # what the batched fast path accepts
             return witness
+        compiled = compile_term(T.and_(*execution.constraints, *assumptions))
         # The current model is one valid completion of any prefix we have
         # pinned so far; it seeds the concrete fast path only.
         model = dict(solver.model(compiled.variables | set(inputs_by_name)))
@@ -394,43 +393,25 @@ class PacketGenerator:
         # solver check.  First choices are pure functions of the formula
         # and the background table — determinism is unaffected; a joint
         # UNSAT just falls through to the per-variable loop.
-        first_choice: Dict[str, int] = {}
-        for name in targets:
-            path, term = inputs_by_name[name]
-            hinted = hints.get(name, ())
-            first_choice[name] = (
-                hinted[0]
-                if hinted
-                else self._BACKGROUND.get(path, 0) & ((1 << term.width) - 1)
-            )
         if compiled.evaluate({**model, **witness, **first_choice}):
             witness.update(first_choice)
             return witness
         stats.canonical_checks += 1
-        batch = [
-            inputs_by_name[name][1].eq(
-                T.bv_const(value, inputs_by_name[name][1].width)
-            )
-            for name, value in first_choice.items()
-        ]
+        batch = [inputs_by_name[name][1].eq(value) for name, value in first_choice.items()]
         if solver.check(*assumptions, *batch) is Result.SAT:
             witness.update(first_choice)
             return witness
         fixed: List[T.Term] = []
-        for name in targets:
+        for name in first_choice:
             path, term = inputs_by_name[name]
-            mask = (1 << term.width) - 1
-            background = self._BACKGROUND.get(path, 0) & mask
-            candidates = []
+            background = self._background(path, term.width)
             # The MSB-flipped background serves goals that *exclude* the
             # background space (route misses, ACL negations): it leaves
             # every prefix the background belongs to while keeping the
             # low bits recognisable, and costs one check instead of a
             # per-bit descent.
             far = background ^ (1 << (term.width - 1))
-            for value in (*hints.get(name, ()), background, far, 0):
-                if value not in candidates:
-                    candidates.append(value)
+            candidates = dict.fromkeys((*hints.get(name, ()), background, far, 0))
             chosen = None
             for value in candidates:
                 trial = {**model, **witness, name: value}
@@ -452,14 +433,14 @@ class PacketGenerator:
                 )
                 stats.canonical_checks += checks
             witness[name] = chosen
-            fixed.append(term.eq(T.bv_const(chosen, term.width)))
+            fixed.append(term.eq(chosen))
         return witness
 
     def _structural_pins(self, assumptions, inputs_by_name) -> tuple:
         """(pins, hints) mined from the assumption conjuncts.
 
-        Pins are exact ``var == const`` conjuncts (background refinement,
-        port preference, exact-match goal fields): they hold in every model
+        Pins are exact ``var == const`` conjuncts (port and destination
+        preferences, exact-match goal fields): they hold in every model
         of the assumption set, so they are adopted without any solver
         query.  Hints come from masked equalities ``(var & mask) == const``
         (ternary/LPM matches): merging the required bits over the
@@ -495,59 +476,63 @@ class PacketGenerator:
                 if entry is None:
                     continue
                 path, term = entry
-                width_mask = (1 << term.width) - 1
-                background = self._BACKGROUND.get(path, 0) & width_mask
-                hint = ((background & ~mask_term.payload) | rhs.payload) & width_mask
+                background = self._background(path, term.width)
+                hint = ((background & ~mask_term.payload) | rhs.payload) & ((1 << term.width) - 1)
                 hints[name] = hints.get(name, ()) + (hint,)
         return pins, hints
 
-    def _refinements(self, execution, condition: T.Term) -> tuple:
-        """(background, soft_dst) refinement conjunctions for a goal.
+    @staticmethod
+    def _inputs_by_name(execution) -> Dict[str, tuple]:
+        """The profile's symbolic inputs: variable name -> (path, term)."""
+        return {
+            term.name: (path, term) for path, term in execution.inputs.items() if not term.is_const
+        }
 
-        Both depend only on *which* variables the condition constrains,
-        not on how — and goals over the same table constrain the same
-        variable set — so the free-variable scan and conjunction rebuild
-        happen once per (profile, constrained-set) instead of once per
-        goal attempt.
+    def _background(self, path: str, width: int) -> int:
+        return self._BACKGROUND.get(path, 0) & ((1 << width) - 1)
+
+    def _first_choices(self, execution, condition: T.Term) -> Dict[str, int]:
+        """The canonical witness's first candidate — the first masked-equality
+        hint, else the background value — for every input the profile
+        constraints or the condition mention and the condition does not
+        pin: the same for every attempt of the goal's cascade."""
+        inputs_by_name = self._inputs_by_name(execution)
+        pinned, hints = self._structural_pins((condition,), inputs_by_name)
+        names = set(T.free_variables(condition)).union(
+            *map(T.free_variables, execution.constraints)
+        )
+        return {
+            name: hints[name][0] if name in hints else self._background(path, term.width)
+            for name, (path, term) in sorted(inputs_by_name.items())
+            if name in names and name not in pinned
+        }
+
+    @staticmethod
+    def _took_first_choices(model, first_choice: Mapping[str, int]) -> bool:
+        """Whether the model agrees with every first choice."""
+        return all(model.get(name) == value for name, value in first_choice.items())
+
+    def _refinements(self, execution, condition: T.Term) -> T.Term:
+        """The soft-dst refinement: the destinations the goal constrains,
+        pinned to their background values.
+
+        It depends only on *which* variables the condition constrains, and
+        goals over the same table constrain the same variable set, so it is
+        built once per (profile, constrained-set).  Destinations the goal
+        leaves free are in no formula: the packet gets their background
+        values without asking the solver.
         """
         constrained = frozenset(T.free_variables(condition))
         key = (execution.profile.name, constrained)
         cached = self._refinement_cache.get(key)
         if cached is None:
-            cached = (
-                self._background_refinement(execution, constrained),
-                self._soft_dst_preference(execution, constrained),
-            )
-            self._refinement_cache[key] = cached
+            clauses = []
+            for path in ("ipv4.dst_addr", "ipv6.dst_addr"):
+                term = execution.inputs.get(path)
+                if term is not None and not term.is_const and term.name in constrained:
+                    clauses.append(term.eq(self._background(path, term.width)))
+            cached = self._refinement_cache[key] = T.and_(*clauses) if clauses else T.TRUE
         return cached
-
-    def _soft_dst_preference(self, execution, constrained: frozenset) -> T.Term:
-        clauses = []
-        for path in ("ipv4.dst_addr", "ipv6.dst_addr"):
-            term = execution.inputs.get(path)
-            if term is None or term.is_const or term.name not in constrained:
-                continue  # free fields are already background-pinned
-            clauses.append(term.eq(self._BACKGROUND[path] & ((1 << term.width) - 1)))
-        return T.and_(*clauses) if clauses else T.TRUE
-
-    def _background_refinement(self, execution, constrained: frozenset) -> T.Term:
-        """Pin fields the goal leaves free to realistic background values.
-
-        Only fields whose variables do not occur in the goal condition are
-        pinned, so the refinement can never make a satisfiable goal
-        unsatisfiable on its own (the extra port preference can, hence the
-        query cascade).  Without this, packets carry whatever residue the
-        solver's previous queries left in those variables — all-zero TTLs
-        and addresses that mask real divergences.
-        """
-        clauses = []
-        for path, term in execution.inputs.items():
-            if term.is_const or term.name in constrained:
-                continue
-            if path in self._BACKGROUND:
-                width = term.width
-                clauses.append(term.eq(self._BACKGROUND[path] & ((1 << width) - 1)))
-        return T.and_(*clauses) if clauses else T.TRUE
 
     # ------------------------------------------------------------------
     # Coverage subsumption
@@ -667,8 +652,7 @@ class PacketGenerator:
             else:
                 # Unconstrained by every asserted formula: free to pick a
                 # realistic background value.
-                width = self.program.field_width(path)
-                value = self._BACKGROUND.get(path, 0) & ((1 << width) - 1)
+                value = self._background(path, self.program.field_width(path))
             packet.fields[path] = value
         packet.valid_headers = set(profile.valid_headers)
         port_term = execution.inputs["standard.ingress_port"]
