@@ -199,8 +199,9 @@ def test_generation_compiles_and_propagates_shared_work_once(tor150, monkeypatch
     # Guards negate only the overlapping higher-priority entries and compare
     # table-written fields by case; the full-chain guards' (6253, 48723, 781)
     # is pinned below.  (3762, 17581, 178) while assumption roots were
-    # completed in both directions.
-    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (3762, 17495, 178)
+    # completed in both directions; (3762, 17495, 178) while every attempt
+    # also pinned the fields its goal leaves free to background values.
+    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (1452, 15168, 196)
     assert stats.sat_propagations <= 450_000  # 807,922 when every check began at the root
 
     (generator, goals, executions), = registered
@@ -261,8 +262,9 @@ def test_full_chain_guards_emit_the_cnf_recorded_before_pruning(tor150, monkeypa
     # which changed which attempt a cascade's failed assumption names.)
     assert (stats.goals_total, stats.goals_subsumed, stats.solver_queries) == (164, 9, 411)
     # (6253, 48720, 781) while assumption roots were completed in both
-    # directions.
-    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (6253, 48562, 849)
+    # directions; (6253, 48562, 849) while every attempt also pinned the
+    # fields its goal leaves free to background values.
+    assert (stats.cnf_vars, stats.cnf_clauses, stats.sat_conflicts) == (3943, 46235, 850)
 
 
 def _guard_arity(executions):

@@ -268,8 +268,10 @@ class TestClauseEconomy:
         # (8777, 3182, 1592) while cascade attempts an earlier failed
         # assumption refutes were still encoded and asked; (8763, 3182,
         # 1369) while every assumption's root gate was also completed in
-        # the upward direction, each completion a gate-cache hit.
-        assert pins == (8680, 3182, 459)
+        # the upward direction, each completion a gate-cache hit; (8680,
+        # 3182, 459) while every attempt also pinned the fields its goal
+        # leaves free to background values.
+        assert pins == (6367, 874, 459)
 
     def test_full_chain_guards_emit_the_cnf_recorded_before_pruning(
         self, tor_program, tor_p4info, monkeypatch
@@ -284,8 +286,9 @@ class TestClauseEconomy:
         pins = (stats.cnf_clauses, stats.cnf_vars, stats.gates_shared)
         # (14897, 4081, 1672) before refuted cascade attempts were skipped;
         # (14891, 4081, 1516) while assumption roots were completed in both
-        # directions.
-        assert pins == (14778, 4081, 247)
+        # directions; (14778, 4081, 247) while every attempt also pinned
+        # the fields its goal leaves free to background values.
+        assert pins == (12465, 1773, 247)
 
     def test_stats_surface_cnf_counters(self):
         s = Solver()
