@@ -622,3 +622,59 @@ class TestSolverPool:
         g = T.and_(x.eq(44), x.eq(1))
         pool.store_formula(("prog", g), None)
         assert pool.lookup_formula(("prog", g)) is None
+
+
+class TestPreferredPhases:
+    """``Solver.check(prefer=)`` seeds the search's phases and nothing else:
+    the verdict, the failed assumption's contract and proofs are those of a
+    check without it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_formula(),
+        small_formula(),
+        small_formula(),
+        st.fixed_dictionaries(
+            {"hx": st.integers(0, 63), "hy": st.integers(0, 63), "hp": st.integers(0, 1)}
+        ),
+    )
+    def test_a_preference_never_changes_a_verdict(self, base, a, b, prefer):
+        plain, seeded = Solver(), Solver()
+        seeded.proof = []
+        plain.add(base)
+        seeded.add(base)
+        for assumptions in ((a,), (T.not_(a),), (a, b), (b, T.not_(a)), (a,), ()):
+            verdict = plain.check(*assumptions)
+            assert seeded.check(*assumptions, prefer=prefer) is verdict
+            if verdict is Result.SAT:
+                assert seeded.model().evaluate(T.and_(base, *assumptions)) == 1
+            elif seeded.failed_assumption is not None:
+                # The named assumption and those before it are UNSAT.
+                named = assumptions[: assumptions.index(seeded.failed_assumption) + 1]
+                fresh = Solver()
+                fresh.add(base)
+                assert fresh.check(*named) is Result.UNSAT
+            else:
+                fresh = Solver()
+                fresh.add(base)
+                assert fresh.check() is Result.UNSAT
+        check_proof(seeded.proof)
+
+    def test_free_bits_take_the_preferred_value(self):
+        s = Solver()
+        x, y = bv_var("px", 8), bv_var("py", 8)
+        s.add(x.ult(200), y.ne(0))
+        for want in (77, 5, 199, 0):
+            assert s.check(prefer={"px": want, "py": 3}) is Result.SAT
+            assert (s.model()["px"], s.model()["py"]) == (want, 3)
+        # The constraints win where the preference would violate them.
+        assert s.check(x.eq(9), prefer={"px": 250, "py": 0}) is Result.SAT
+        assert s.model()["px"] == 9 and s.model()["py"] != 0
+
+    def test_a_preference_on_an_unencoded_variable_is_ignored(self):
+        s = Solver()
+        x = bv_var("qx", 8)
+        s.add(x.ult(10))
+        assert s.check(prefer={"nowhere": 5, "qx": 4}) is Result.SAT
+        assert s.model()["qx"] == 4
+        assert "nowhere" not in s.model()
